@@ -70,7 +70,6 @@ from .reflection import (
 from .scheme import (
     GridSpec,
     ParticleSystem,
-    RecordOptions,
     TrajectoryRecord,
     simulate,
 )

@@ -32,21 +32,31 @@ from .harness import (
 )
 from .model import validate as validate_model
 from .parallel import worker_count
-from .scheme import simulate
+from .scheme import noise_record, simulate
 from .stochastics import NoiseRecord
 
-_CASES = ("i", "ii", "iii", "custom")
+_CASES = (*oracle.CASES, "custom")
 
-_REQUIRED_PARAMS = {
-    "i": ("beta", "sigma", "eta", "lambda", "x0", "p"),
-    "ii": ("a", "gamma", "theta", "lambda", "x0", "p"),
-    "iii": ("beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"),
-    "custom": ("lambda", "x0"),
-}
+# The custom case: required parameters, optional affine coefficients, jump
+# laws, and the numeric fields each constraint kind requires.
+_CUSTOM_PARAMS = ("lambda", "x0")
+_CUSTOM_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
+_JUMP_LAWS = ("lognormal", "dirac")
+_CONSTRAINT_PARAMS = {"linear": ("p",), "sine": ("alpha", "p")}
 
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float; booleans do not count."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 1; booleans do not count."""
+    return type(value) is int and value >= 1
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -55,7 +65,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     Schema::
 
         {
-          "model": {"case": "i"|"ii"|"iii"|"custom", ...case parameters...},
+          "model": {"case": <a key of oracle.CASES>|"custom", ...parameters...},
           "constraint": {"kind": "linear"|"sine", ...},   # custom case only
           "grid": {"T": <float>, "n": <int>},
           "particles": <int>,
@@ -97,80 +107,73 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         problems.append(f"model.case must be one of {_CASES}, got {case!r}")
         case = "custom"
     params = {k: v for k, v in model.items() if k != "case"}
-    for name in _REQUIRED_PARAMS.get(case, ()):
+    required = oracle.CASES[case].params if case in oracle.CASES else _CUSTOM_PARAMS
+    optional = _CUSTOM_COEFFICIENTS if case == "custom" else ()
+    for name in required:
         if name not in params:
             problems.append(f"model.{name} is required for case {case!r}")
-        elif not isinstance(params[name], (int, float)) or not np.isfinite(
-            params[name]
-        ):
-            problems.append(f"model.{name} must be a finite number")
+    # Every field collected here must hold a finite number.
+    numbers = {f"model.{n}": params[n] for n in (*required, *optional) if n in params}
 
     constraint = doc.get("constraint")
     if case == "custom":
-        if not isinstance(constraint, dict) or "p" not in constraint:
-            problems.append("custom case requires a 'constraint' object with 'p'")
+        jump = params.get("jump", {"law": "dirac"})
+        if isinstance(jump, dict) and jump.get("law") in _JUMP_LAWS:
+            numbers.update((f"model.jump.{k}", v) for k, v in jump.items() if k != "law")
+        else:
+            problems.append(f"model.jump must be an object with 'law' in {_JUMP_LAWS}")
+        kind = constraint.get("kind", "linear") if isinstance(constraint, dict) else None
+        if kind in _CONSTRAINT_PARAMS:
+            numbers.update(
+                (f"constraint.{name}", constraint.get(name))
+                for name in _CONSTRAINT_PARAMS[kind]
+            )
+        else:
+            problems.append(
+                "custom case requires a 'constraint' object with 'kind' in "
+                f"{tuple(_CONSTRAINT_PARAMS)}"
+            )
     elif constraint is not None:
         problems.append(
             f"case {case!r} implies its constraint; remove the 'constraint' object"
         )
+    problems += [
+        f"{where} must be a finite number"
+        for where, value in numbers.items()
+        if not _is_number(value)
+    ]
 
     grid = doc.get("grid")
-    horizon, steps = 1.0, 1
     if not isinstance(grid, dict):
         problems.append("'grid' object with T and n is required")
-    else:
-        horizon = grid.get("T")
-        steps = grid.get("n")
-        if not isinstance(horizon, (int, float)) or not horizon > 0:
-            problems.append(f"grid.T must be > 0, got {horizon!r}")
-            horizon = 1.0
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-            problems.append(f"grid.n must be an integer >= 1, got {steps!r}")
-            steps = 1
-
+        grid = {"T": 1.0, "n": 1}
+    horizon, steps = grid.get("T"), grid.get("n")
     particles = doc.get("particles")
-    if not isinstance(particles, int) or isinstance(particles, bool) or particles < 1:
-        problems.append(f"particles must be an integer >= 1, got {particles!r}")
-        particles = 1
-
     replications = doc.get("replications", 1000)
-    if (
-        not isinstance(replications, int)
-        or isinstance(replications, bool)
-        or replications < 1
-    ):
-        problems.append(f"replications must be an integer >= 1, got {replications!r}")
-        replications = 1
-
     seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+    if not (_is_number(horizon) and horizon > 0):
+        problems.append(f"grid.T must be > 0, got {horizon!r}")
+    for name, value in (
+        ("grid.n", steps), ("particles", particles), ("replications", replications)
+    ):
+        if not _is_count(value):
+            problems.append(f"{name} must be an integer >= 1, got {value!r}")
+    if seed is not None and type(seed) is not int:
         problems.append(f"seed must be an integer, got {seed!r}")
-        seed = None
 
-    sweep = doc.get("sweep")
-    grid_list = [steps]
-    particle_list = [particles]
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            problems.append("'sweep' must be an object with 'n' and/or 'N' lists")
+    sweep = {} if doc.get("sweep") is None else doc["sweep"]
+    if not isinstance(sweep, dict):
+        problems.append("'sweep' must be an object with 'n' and/or 'N' lists")
+        sweep = {}
+    menus = {"n": [steps], "N": [particles]}
+    for key in menus:
+        values = sweep.get(key)
+        if values is None:
+            continue
+        if isinstance(values, list) and values and all(map(_is_count, values)):
+            menus[key] = values
         else:
-            for key, target in (("n", "grid"), ("N", "particles")):
-                values = sweep.get(key)
-                if values is None:
-                    continue
-                if (
-                    not isinstance(values, list)
-                    or not values
-                    or not all(
-                        isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                        for v in values
-                    )
-                ):
-                    problems.append(f"sweep.{key} must be a nonempty list of ints >= 1")
-                elif target == "grid":
-                    grid_list = values
-                else:
-                    particle_list = values
+            problems.append(f"sweep.{key} must be a nonempty list of ints >= 1")
 
     if problems:
         raise ValidationError(
@@ -181,8 +184,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         case=case,
         model_params=params,
         horizon=float(horizon),
-        grid_steps=tuple(grid_list),
-        particles=tuple(particle_list),
+        grid_steps=tuple(menus["n"]),
+        particles=tuple(menus["N"]),
         replications=replications,
         seed=seed,
         constraint_params=constraint if case == "custom" else None,
@@ -290,26 +293,20 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(
             f"--case {case} does not match config case {config.case!r}"
         )
-    if case not in ("i", "ii", "iii"):
+    spec = oracle.CASES.get(case)
+    if spec is None:
         raise ValidationError(f"no reference solution for case {case!r}")
-    seed = _resolve_seed(args, config, required=False) if case != "iii" else 0
+    seed = _resolve_seed(args, config, required=False) if spec.coupled else 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "oracle", config, seed, ["oracle.csv"])
     model, _ = build_model(config)
     grid = config.single_grid()
-    if case == "iii":
-        path = oracle.exact_case_iii_K(model.params, grid)
+    if spec.coupled is None:
+        path = spec.reference(model.params, grid)
     else:
-        noise = NoiseRecord(
-            seed=seed,
-            n_steps=grid.steps,
-            n_particles=config.single_particle_count(),
-            jump_mean=model.intensity * grid.dt,
-            jump_law=model.jump_size_law,
-        )
-        fn = oracle.exact_case_i if case == "i" else oracle.exact_case_ii
-        path = fn(noise, model.params, grid, particle=args.particle)
+        noise = noise_record(model, grid, config.single_particle_count(), seed)
+        path = spec.coupled(noise, model.params, grid, particle=args.particle)
     header = ["t", "K_exact", "meanY"]
     columns = [path.times, path.k_exact, path.mean_y]
     if path.x_exact is not None:
@@ -377,7 +374,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_density(args) -> int:
     config = parse_config(args.config)
-    if config.case not in ("i", "ii", "iii"):
+    if config.case not in oracle.CASES:
         raise ValidationError(
             "the density diagnostic needs a built-in case with a reference path"
         )
@@ -435,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_orc = sub.add_parser("oracle", help="reference-solution paths")
     add_common(p_orc)
-    p_orc.add_argument("--case", choices=("i", "ii", "iii"), default=None)
+    p_orc.add_argument("--case", choices=tuple(oracle.CASES), default=None)
     p_orc.add_argument(
         "--particle", type=int, default=0,
         help="particle index for the coupled exact path",

@@ -26,7 +26,7 @@ from . import oracle as oracle_mod
 from .errors import DegenerateAbscissae, ValidationError
 from .model import Constraint, ModelSpec
 from .parallel import map_ordered, worker_count
-from .scheme import GridSpec, RecordOptions, TrajectoryRecord, simulate
+from .scheme import GridSpec, TrajectoryRecord, simulate
 from .stochastics import DiracPoint, LogNormal, derive_seed
 
 _REPLICATION_PURPOSE = 1
@@ -97,19 +97,9 @@ def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
     """
     p = config.model_params
     try:
-        if config.case == "i":
-            return model_mod.make_case_i(
-                p["beta"], p["sigma"], p["eta"], p["lambda"], p["x0"], p["p"]
-            )
-        if config.case == "ii":
-            return model_mod.make_case_ii(
-                p["a"], p["gamma"], p["theta"], p["lambda"], p["x0"], p["p"]
-            )
-        if config.case == "iii":
-            return model_mod.make_case_iii(
-                p["beta"], p["a"], p["sigma"], p["eta"], p["lambda"], p["x0"],
-                p["p"], p["alpha"],
-            )
+        if config.case in oracle_mod.CASES:
+            case = oracle_mod.CASES[config.case]
+            return case.factory(*(p[name] for name in case.params))
         if config.case == "custom":
             return _build_affine_model(p, config.constraint_params or {})
     except ValueError as exc:
@@ -190,30 +180,6 @@ class ResultTable:
     regression_in_steps: dict[int, RegressionResult] = field(default_factory=dict)
 
 
-def _coupled_error(
-    model: ModelSpec,
-    constraint: Constraint,
-    case: str,
-    grid: GridSpec,
-    n_particles: int,
-    seed: int,
-    threads: int,
-) -> float:
-    traj = simulate(
-        model, constraint, grid, n_particles, seed,
-        record=RecordOptions(track_particles=(0,)),
-        threads=threads,
-    )
-    if case == "i":
-        path = oracle_mod.exact_case_i(traj.noise, model.params, grid, particle=0)
-    elif case == "ii":
-        path = oracle_mod.exact_case_ii(traj.noise, model.params, grid, particle=0)
-    else:
-        raise ValidationError(f"no exact coupled path for case {case!r}")
-    diff = path.x_exact - traj.tracked[0]
-    return float(np.max(diff * diff))
-
-
 def l2_error(
     config: ExperimentConfig,
     n: int | None = None,
@@ -223,6 +189,9 @@ def l2_error(
     """Replicated worst-grid-point squared coupling error for one cell."""
     if config.seed is None:
         raise ValidationError("error estimation needs an explicit seed")
+    case = oracle_mod.CASES.get(config.case)
+    if case is None or case.coupled is None:
+        raise ValidationError(f"no exact coupled path for case {config.case!r}")
     threads = worker_count() if threads is None else threads
     model, constraint = build_model(config)
     grid = config.grid(n)
@@ -230,15 +199,22 @@ def l2_error(
     L = config.replications
     outer = max(1, min(threads, L))
     inner = max(1, threads // outer)
+
+    def coupled_error(seed: int) -> float:
+        x_scheme = np.empty(grid.steps + 1)
+
+        def observe(k: int, X: np.ndarray) -> None:
+            x_scheme[k] = X[0]
+
+        traj = simulate(
+            model, constraint, grid, n_particles, seed, observe=observe, threads=inner
+        )
+        path = case.coupled(traj.noise, model.params, grid, particle=0)
+        diff = path.x_exact - x_scheme
+        return float(np.max(diff * diff))
+
     seeds = [derive_seed(config.seed, l, _REPLICATION_PURPOSE) for l in range(L)]
-    errors = map_ordered(
-        lambda s: _coupled_error(
-            model, constraint, config.case, grid, n_particles, s, inner
-        ),
-        seeds,
-        threads=outer,
-    )
-    return float(np.mean(errors))
+    return float(np.mean(map_ordered(coupled_error, seeds, threads=outer)))
 
 
 def loglog_fit(points: Sequence[tuple[float, float]]) -> RegressionResult:

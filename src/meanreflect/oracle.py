@@ -29,16 +29,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import stochastics
 from .errors import DerivativesMissing, NoiseMismatch
-from .model import Constraint, ModelSpec
+from .model import Constraint, ModelSpec, make_case_i, make_case_ii, make_case_iii
 from .numerics import bisect_increasing, expand_bracket
-from .scheme import GridSpec, ParticleSystem
+from .scheme import GridSpec, simulate
 from .stochastics import DiracPoint, NoiseRecord
 
 _SQRT_E = math.sqrt(math.e)
@@ -90,24 +90,35 @@ def _brownian_path(noise: NoiseRecord, grid: GridSpec, particle: int) -> np.ndar
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
+def _reference_case_i(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
+    beta, x0, p = _require(params, "beta", "x0", "p")
+    t = grid.times()
+    return OraclePath(t, np.maximum(0.0, p + beta * t - x0), mean_y=x0 - beta * t)
+
+
+def _reference_case_ii(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
+    a, x0, p = _require(params, "a", "x0", "p")
+    t = grid.times()
+    t_star = (math.log(x0) - math.log(p)) / a
+    return OraclePath(t, a * p * np.maximum(0.0, t - t_star), mean_y=x0 * np.exp(-a * t))
+
+
 def exact_case_i(
     noise: NoiseRecord, params: Mapping[str, float], grid: GridSpec, particle: int = 0
 ) -> OraclePath:
     """Exact coupled path for case i on the grid."""
-    beta, sigma, eta, lam, x0, p = _require(
-        params, "beta", "sigma", "eta", "lambda", "x0", "p"
-    )
+    beta, sigma, eta, lam, x0 = _require(params, "beta", "sigma", "eta", "lambda", "x0")
     _check_noise(noise, grid, particle)
-    t = grid.times()
-    k_exact = np.maximum(0.0, p + beta * t - x0)
+    ref = _reference_case_i(params, grid)
+    t = ref.times
     b_path = _brownian_path(noise, grid, particle)
     jump_path = np.concatenate(
         ([0.0], np.cumsum(eta * noise.particle_mark_sums(particle)))
     )
     x_exact = (
-        x0 - (beta + lam * eta * _SQRT_E) * t + sigma * b_path + jump_path + k_exact
+        x0 - (beta + lam * eta * _SQRT_E) * t + sigma * b_path + jump_path + ref.k_exact
     )
-    return OraclePath(times=t, k_exact=k_exact, x_exact=x_exact, mean_y=x0 - beta * t)
+    return replace(ref, x_exact=x_exact)
 
 
 def exact_case_ii(
@@ -119,13 +130,10 @@ def exact_case_ii(
     reconstruction integral of 1/Y against dK uses left-point sums, which
     is first-order consistent like the scheme itself.
     """
-    a, gamma, theta, lam, x0, p = _require(
-        params, "a", "gamma", "theta", "lambda", "x0", "p"
-    )
+    a, gamma, theta, lam, x0 = _require(params, "a", "gamma", "theta", "lambda", "x0")
     _check_noise(noise, grid, particle)
-    t = grid.times()
-    t_star = (math.log(x0) - math.log(p)) / a
-    k_exact = a * p * np.maximum(0.0, t - t_star)
+    ref = _reference_case_ii(params, grid)
+    t = ref.times
     b_path = _brownian_path(noise, grid, particle)
     n_path = np.concatenate(
         ([0], np.cumsum(noise.particle_counts(particle)))
@@ -135,11 +143,8 @@ def exact_case_ii(
         * np.exp(-(a + 0.5 * gamma**2 + lam * theta) * t + gamma * b_path)
         * (1.0 + theta) ** n_path
     )
-    integral = np.concatenate(([0.0], np.cumsum(np.diff(k_exact) / y[:-1])))
-    x_exact = y * (1.0 + integral)
-    return OraclePath(
-        times=t, k_exact=k_exact, x_exact=x_exact, mean_y=x0 * np.exp(-a * t)
-    )
+    integral = np.concatenate(([0.0], np.cumsum(np.diff(ref.k_exact) / y[:-1])))
+    return replace(ref, x_exact=y * (1.0 + integral))
 
 
 def _case_iii_constraint_mean(
@@ -226,19 +231,48 @@ def mean_y(t, x0: float, beta: float, a: float):
     return float(out) if out.ndim == 0 else out
 
 
+@dataclass(frozen=True)
+class Case:
+    """One built-in case: its config parameters (in ``factory`` order), the
+    noise-free ``reference(params, grid)`` path, and the noise-coupled
+    ``coupled(noise, params, grid, particle=0)`` path, None if it has none."""
+
+    params: tuple[str, ...]
+    factory: Callable[..., tuple[ModelSpec, Constraint]]
+    reference: Callable[[Mapping[str, float], GridSpec], OraclePath]
+    coupled: Callable[..., OraclePath] | None
+
+
+#: The built-in cases; adding one means adding a record here. The oracle
+#: functions of this module are looked up when called, so that wrappers
+#: installed on the module (tracing, test doubles) see every call.
+CASES: dict[str, Case] = {
+    "i": Case(
+        params=("beta", "sigma", "eta", "lambda", "x0", "p"),
+        factory=make_case_i,
+        reference=_reference_case_i,
+        coupled=lambda *args, **kwargs: exact_case_i(*args, **kwargs),
+    ),
+    "ii": Case(
+        params=("a", "gamma", "theta", "lambda", "x0", "p"),
+        factory=make_case_ii,
+        reference=_reference_case_ii,
+        coupled=lambda *args, **kwargs: exact_case_ii(*args, **kwargs),
+    ),
+    "iii": Case(
+        params=("beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"),
+        factory=make_case_iii,
+        reference=lambda params, grid: exact_case_iii_K(params, grid),
+        coupled=None,
+    ),
+}
+
+
 def exact_k_path(case: str, params: Mapping[str, float], grid: GridSpec) -> np.ndarray:
     """Reference reflection path for a built-in case (no noise needed)."""
-    t = grid.times()
-    if case == "i":
-        beta, x0, p = _require(params, "beta", "x0", "p")
-        return np.maximum(0.0, p + beta * t - x0)
-    if case == "ii":
-        a, x0, p = _require(params, "a", "x0", "p")
-        t_star = (math.log(x0) - math.log(p)) / a
-        return a * p * np.maximum(0.0, t - t_star)
-    if case == "iii":
-        return exact_case_iii_K(params, grid).k_exact
-    raise ValueError(f"no reference reflection path for case {case!r}")
+    if case not in CASES:
+        raise ValueError(f"no reference reflection path for case {case!r}")
+    return CASES[case].reference(params, grid).k_exact
 
 
 def _jump_generator_term(
@@ -333,9 +367,11 @@ def density_series(
     left-point sum of the series times dt approximates the total
     reflection. Returns (times[:-1], estimates).
     """
-    system = ParticleSystem(model, constraint, grid, n_particles, seed, threads)
     khat = np.empty(grid.steps)
-    for k in range(grid.steps):
-        khat[k] = density_k(system.X, model, constraint, epsilon_active)
-        system.step()
+
+    def observe(k: int, X: np.ndarray) -> None:
+        if k < grid.steps:
+            khat[k] = density_k(X, model, constraint, epsilon_active)
+
+    simulate(model, constraint, grid, n_particles, seed, observe=observe, threads=threads)
     return grid.times()[:-1], khat

@@ -22,7 +22,7 @@ tested against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,6 +111,14 @@ class MeanEvaluator:
             lo, hi = expand_bracket(self, -1.0, 1.0)
         return bisect_increasing(self, lo, hi, tol_x=tol_x, max_iter=max_iter)
 
+    def g0(self, **root_options) -> float:
+        """Minimal nonnegative push: 0 when the constraint mean at 0 is
+        already nonnegative, else max(0, root). ``root_options`` go to
+        :meth:`root`."""
+        if self(0.0) >= 0.0:
+            return 0.0
+        return max(0.0, self.root(**root_options))
+
 
 def h_mean(x: float, measure, constraint: Constraint) -> float:
     """Mean of h(x + atom) over the measure's atoms."""
@@ -118,42 +126,20 @@ def h_mean(x: float, measure, constraint: Constraint) -> float:
     return float(np.mean(constraint.h(x + atoms)))
 
 
-def bar_g0(
-    measure,
-    constraint: Constraint,
-    tol_x: float = DEFAULT_TOL_X,
-    max_iter: int = DEFAULT_MAX_ITER,
-    use_closed_form: bool = True,
-) -> float:
+def bar_g0(measure, constraint: Constraint, **root_options) -> float:
     """Root in x of the constraint mean; the signed minimal shift.
 
+    ``root_options`` go to :meth:`MeanEvaluator.root`; there
     ``use_closed_form=False`` forces the bisection path even for linear
     constraints (used to cross-check the shortcut).
     """
-    atoms = as_atoms(measure)
-    evaluator = MeanEvaluator(atoms, constraint)
-    return evaluator.root(tol_x=tol_x, max_iter=max_iter, use_closed_form=use_closed_form)
+    return MeanEvaluator(as_atoms(measure), constraint).root(**root_options)
 
 
-def g0(
-    measure,
-    constraint: Constraint,
-    tol_x: float = DEFAULT_TOL_X,
-    max_iter: int = DEFAULT_MAX_ITER,
-    use_closed_form: bool = True,
-) -> float:
+def g0(measure, constraint: Constraint, **root_options) -> float:
     """Minimal nonnegative push: max(0, bar_g0). Zero whenever the
     constraint mean at 0 is already nonnegative."""
-    atoms = as_atoms(measure)
-    evaluator = MeanEvaluator(atoms, constraint)
-    if evaluator(0.0) >= 0.0:
-        return 0.0
-    return max(
-        0.0,
-        evaluator.root(
-            tol_x=tol_x, max_iter=max_iter, use_closed_form=use_closed_form
-        ),
-    )
+    return MeanEvaluator(as_atoms(measure), constraint).g0(**root_options)
 
 
 @dataclass
@@ -166,8 +152,6 @@ class ReflectionTracker:
     """
 
     running_sup: float = 0.0
-    history: list[tuple[int, float, float]] = field(default_factory=list)
-    steps: int = 0
 
     def advance(self, g0_value: float) -> float:
         if g0_value < 0.0:
@@ -177,8 +161,6 @@ class ReflectionTracker:
             self.running_sup = g0_value
         else:
             delta = 0.0
-        self.history.append((self.steps, g0_value, delta))
-        self.steps += 1
         return delta
 
 

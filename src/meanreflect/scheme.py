@@ -19,7 +19,8 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,18 +52,17 @@ class GridSpec:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-@dataclass(frozen=True)
-class RecordOptions:
-    """What :func:`simulate` should keep beyond the summary series.
-
-    ``snapshot_stride``: store a copy of the particle cloud every so many
-    steps (memory grows as N * steps / stride). ``track_particles``: store
-    the full path of these particle indices (used to couple a run against
-    its exact-solution oracle).
-    """
-
-    snapshot_stride: int | None = None
-    track_particles: tuple[int, ...] = ()
+def noise_record(
+    model: ModelSpec, grid: GridSpec, n_particles: int, seed: int
+) -> NoiseRecord:
+    """The keyed noise a run of ``model`` on ``grid`` draws."""
+    return NoiseRecord(
+        seed=seed,
+        n_steps=grid.steps,
+        n_particles=n_particles,
+        jump_mean=model.intensity * grid.dt,
+        jump_law=model.jump_size_law,
+    )
 
 
 @dataclass
@@ -75,8 +75,6 @@ class TrajectoryRecord:
     mean_h: np.ndarray
     mean_x: np.ndarray
     var_x: np.ndarray
-    tracked: dict[int, np.ndarray] = field(default_factory=dict)
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     noise: NoiseRecord | None = None
 
 
@@ -104,13 +102,7 @@ class ParticleSystem:
         self.n_particles = n_particles
         self.seed = int(seed)
         self.threads = worker_count() if threads is None else threads
-        self.noise = NoiseRecord(
-            seed=self.seed,
-            n_steps=grid.steps,
-            n_particles=n_particles,
-            jump_mean=model.intensity * grid.dt,
-            jump_law=model.jump_size_law,
-        )
+        self.noise = noise_record(model, grid, n_particles, self.seed)
         if isinstance(model.initial_law, DiracPoint):
             self.U = np.full(n_particles, float(model.initial_law.value))
         elif isinstance(model.initial_law, CustomSampler):
@@ -124,22 +116,18 @@ class ParticleSystem:
             )
         self.tracker = ReflectionTracker()
         self.k = 0
-        evaluator = MeanEvaluator(self.U, constraint)
-        self.tracker.advance(self._g0_value(evaluator))
-        self.X = self.U + self.tracker.running_sup
-        self._stash_stats(evaluator)
+        self._reflect()
 
-    @staticmethod
-    def _g0_value(evaluator: MeanEvaluator) -> float:
-        if evaluator(0.0) >= 0.0:
-            return 0.0
-        return max(0.0, evaluator.root())
-
-    def _stash_stats(self, evaluator: MeanEvaluator) -> None:
+    def _reflect(self) -> float:
+        """Reflect U into X, keep the constraint statistics, return the increment."""
+        evaluator = MeanEvaluator(self.U, self.constraint)
+        delta = self.tracker.advance(evaluator.g0())
         sup = self.tracker.running_sup
+        self.X = self.U + sup
         self.last_mean_h = evaluator(sup)
         self.last_mean_x = evaluator.atom_mean + sup
         self.last_var_x = float(np.var(self.U))
+        return delta
 
     def _increments(self, x_prev: np.ndarray, step: int) -> np.ndarray:
         model = self.model
@@ -177,11 +165,8 @@ class ParticleSystem:
                 f"non-finite particle state at step {step} "
                 f"(t={step * self.grid.dt:.6g})"
             )
-        evaluator = MeanEvaluator(self.U, self.constraint)
-        delta = self.tracker.advance(self._g0_value(evaluator))
-        self.X = self.U + self.tracker.running_sup
+        delta = self._reflect()
         self.k = step
-        self._stash_stats(evaluator)
         return delta
 
 
@@ -191,45 +176,28 @@ def simulate(
     grid: GridSpec,
     n_particles: int,
     seed: int,
-    record: RecordOptions | None = None,
+    observe: Callable[[int, np.ndarray], None] | None = None,
     threads: int | None = None,
 ) -> TrajectoryRecord:
-    """Run the full scheme and collect the per-step series."""
-    record = record or RecordOptions()
+    """Run the full scheme and collect the per-step series.
+
+    ``observe(k, X)``, when given, is called with the reflected particle
+    states after the initial push (k = 0) and after every step k = 1..n.
+    ``X`` is the system's own array: read it, copy what must outlive the
+    call, and never write to it.
+    """
     system = ParticleSystem(model, constraint, grid, n_particles, seed, threads)
-    n = grid.steps
-    k_hat = np.empty(n + 1)
-    delta_k = np.empty(n + 1)
-    mean_h = np.empty(n + 1)
-    mean_x = np.empty(n + 1)
-    var_x = np.empty(n + 1)
-    tracked = {i: np.empty(n + 1) for i in record.track_particles}
-    snapshots: dict[int, np.ndarray] = {}
+    # Rows in TrajectoryRecord field order: k_hat, delta_k, mean_h, mean_x, var_x.
+    series = np.empty((5, grid.steps + 1))
 
     def capture(k: int, delta: float) -> None:
-        k_hat[k] = system.tracker.running_sup
-        delta_k[k] = delta
-        mean_h[k] = system.last_mean_h
-        mean_x[k] = system.last_mean_x
-        var_x[k] = system.last_var_x
-        for i in tracked:
-            tracked[i][k] = system.X[i]
-        stride = record.snapshot_stride
-        if stride and (k % stride == 0 or k == n):
-            snapshots[k] = system.X.copy()
+        series[:, k] = (system.tracker.running_sup, delta, system.last_mean_h,
+                        system.last_mean_x, system.last_var_x)
+        if observe is not None:
+            observe(k, system.X)
 
-    capture(0, system.tracker.history[0][2])
-    for k in range(1, n + 1):
+    # The running sup starts at 0, so the initial push is its own increment.
+    capture(0, system.tracker.running_sup)
+    for k in range(1, grid.steps + 1):
         capture(k, system.step())
-
-    return TrajectoryRecord(
-        times=grid.times(),
-        k_hat=k_hat,
-        delta_k=delta_k,
-        mean_h=mean_h,
-        mean_x=mean_x,
-        var_x=var_x,
-        tracked=tracked,
-        snapshots=snapshots,
-        noise=system.noise,
-    )
+    return TrajectoryRecord(grid.times(), *series, noise=system.noise)

@@ -23,7 +23,6 @@ from enum import IntEnum
 from typing import Callable, Union
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtri
 
 from .errors import NoiseMismatch
@@ -158,6 +157,7 @@ def poisson_counts(seed: int, particle, step, rate_times_dt: float) -> np.ndarra
         return np.zeros(u.shape, dtype=np.int64)
     if rate_times_dt <= POISSON_INVERSION_CUTOFF:
         return _poisson_inversion(u, rate_times_dt)
+    from scipy import stats  # slow to import; no shipped config gets here
     return stats.poisson.ppf(u, rate_times_dt).astype(np.int64)
 
 

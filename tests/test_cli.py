@@ -18,6 +18,13 @@ MINIMAL = {
     "particles": 500,
 }
 
+CUSTOM = {
+    "model": {"case": "custom", "beta": 1.0, "sigma": 1.0, "lambda": 1.0, "x0": 1.0},
+    "constraint": {"kind": "linear", "p": 0.5},
+    "grid": {"T": 1.0, "n": 10},
+    "particles": 10,
+}
+
 
 def write_config(tmp_path: Path, doc: dict, name: str = "config.json") -> str:
     path = tmp_path / name
@@ -263,6 +270,32 @@ class TestValidateCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def validate_error(self, tmp_path, capsys, doc) -> str:
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+        return capsys.readouterr().err
+
+    def test_non_object_jump_rejected(self, tmp_path, capsys):
+        doc = dict(CUSTOM, model=dict(CUSTOM["model"], jump=5))
+        assert "model.jump must be an object" in self.validate_error(tmp_path, capsys, doc)
+
+    def test_sine_constraint_without_alpha_rejected(self, tmp_path, capsys):
+        doc = dict(CUSTOM, constraint={"kind": "sine", "p": 0.5})
+        assert "constraint.alpha must be a finite number" in self.validate_error(
+            tmp_path, capsys, doc
+        )
+
+    @pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "huge_int"])
+    def test_non_float_parameter_rejected(self, tmp_path, capsys, value):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["model"]["beta"] = value
+        assert "model.beta must be a finite number" in self.validate_error(
+            tmp_path, capsys, doc
+        )
+
+    def test_boolean_horizon_rejected(self, tmp_path, capsys):
+        doc = dict(MINIMAL, grid={"T": True, "n": 40})
+        assert "grid.T must be > 0" in self.validate_error(tmp_path, capsys, doc)
 
 
 def test_unknown_subcommand_exits_two():

@@ -16,7 +16,8 @@ from meanreflect.harness import (
 )
 from meanreflect.model import linear_constraint
 from meanreflect.oracle import exact_case_i
-from meanreflect.scheme import GridSpec, RecordOptions, TrajectoryRecord, simulate
+from meanreflect import harness
+from meanreflect.scheme import GridSpec, TrajectoryRecord, simulate
 from meanreflect.stochastics import DiracPoint, uniforms, Channel
 from meanreflect.model import ModelSpec
 
@@ -113,18 +114,21 @@ class TestL2Error:
             compensator=lambda x: 0.0,
         )
         grid = GridSpec(1.0, 100)
+        tracked = np.empty(grid.steps + 1)
         traj = simulate(model, linear_constraint(0.5), grid, 64, seed=5,
-                        record=RecordOptions(track_particles=(0,)))
+                        observe=lambda k, X: tracked.__setitem__(k, X[0]))
         params = dict(FIG1_PARAMS, sigma=0.0, eta=0.0)
         path = exact_case_i(traj.noise, params, grid, particle=0)
-        err = float(np.max((path.x_exact - traj.tracked[0]) ** 2))
+        err = float(np.max((path.x_exact - tracked) ** 2))
         assert err < 1e-24
 
     def test_requires_seed(self):
         with pytest.raises(ValidationError):
             l2_error(fig1_config(seed=None))
 
-    def test_case_without_oracle_rejected(self):
+    def test_case_without_oracle_rejected(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "simulate", lambda *a, **k: runs.append(a))
         cfg = fig1_config(
             case="iii",
             model_params={
@@ -134,6 +138,7 @@ class TestL2Error:
         )
         with pytest.raises(ValidationError):
             l2_error(cfg)
+        assert runs == []  # rejected before any simulation starts
 
     def test_decreases_with_more_particles(self):
         # common replication seeds couple the cells, so the ordering is stable

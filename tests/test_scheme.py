@@ -15,7 +15,6 @@ from meanreflect.model import (
 from meanreflect.scheme import (
     GridSpec,
     ParticleSystem,
-    RecordOptions,
     simulate,
 )
 from meanreflect.stochastics import CustomSampler, DiracPoint
@@ -198,15 +197,22 @@ class TestSimulate:
         assert np.all(np.abs(traj.mean_h[active]) <= 1e-8 * norm[active])
 
     def test_snapshots_and_tracking(self):
+        # the observer sees the cloud after the initial push and every step
         model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
+        grid = GridSpec(1.0, 10)
+        snapshots = {}
         traj = simulate(
-            model, constraint, GridSpec(1.0, 10), 50, seed=9,
-            record=RecordOptions(snapshot_stride=5, track_particles=(0, 7)),
+            model, constraint, grid, 50, seed=9,
+            observe=lambda k, X: snapshots.__setitem__(k, X.copy()),
         )
-        assert set(traj.snapshots) == {0, 5, 10}
-        assert traj.snapshots[10].shape == (50,)
-        assert traj.tracked[0].shape == (11,)
-        assert traj.tracked[7][0] == 1.0
+        assert list(snapshots) == list(range(11))
+        assert snapshots[10].shape == (50,)
+        assert snapshots[0][7] == 1.0
+        assert np.allclose([snapshots[k].mean() for k in range(11)], traj.mean_x)
+        # observing leaves the run itself untouched
+        plain = simulate(model, constraint, grid, 50, seed=9)
+        assert np.array_equal(plain.k_hat, traj.k_hat)
+        assert np.array_equal(plain.delta_k, traj.delta_k)
 
     def test_holder_growth_stable_across_refinements(self):
         model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)

@@ -1,6 +1,10 @@
 """Counter-based noise: determinism, distributional moments, replay invariance."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,18 @@ def test_poisson_large_mean_inversion_fallback():
     se = math.sqrt(25.0 / 200_000)
     assert abs(draws.mean() - 25.0) < 4.0 * se
     assert abs(draws.var() / 25.0 - 1.0) < 0.05
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; only the large-mean
+    # fallback above needs it, so importing the package must not load it.
+    paths = [str(Path(sto.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import sys, meanreflect; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_poisson_negative_mean_rejected():
