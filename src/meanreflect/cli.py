@@ -35,45 +35,14 @@ from .parallel import worker_count
 from .scheme import noise_record, simulate
 from .stochastics import NoiseRecord
 
-_CASES = (*oracle.CASES, "custom")
-
-# The custom case: required parameters, optional affine coefficients, jump
-# laws, and the numeric fields each constraint kind requires.
-_CUSTOM_PARAMS = ("lambda", "x0")
-_CUSTOM_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
-_JUMP_LAWS = ("lognormal", "dirac")
-_CONSTRAINT_PARAMS = {"linear": ("p",), "sine": ("alpha", "p")}
-
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _is_number(value) -> bool:
-    """A JSON number that is a finite float; booleans do not count."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _is_count(value) -> bool:
-    """A JSON integer >= 1; booleans do not count."""
-    return type(value) is int and value >= 1
-
-
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate a JSON experiment config.
-
-    Schema::
-
-        {
-          "model": {"case": <a key of oracle.CASES>|"custom", ...parameters...},
-          "constraint": {"kind": "linear"|"sine", ...},   # custom case only
-          "grid": {"T": <float>, "n": <int>},
-          "particles": <int>,
-          "replications": <int>,            # default 1000
-          "seed": <u64>,                    # optional; --seed overrides
-          "sweep": {"n": [<int>...], "N": [<int>...]}     # optional
-        }
-    """
+    """Load a JSON experiment config or run manifest; the schema and its
+    checks are :class:`ExperimentConfig`'s."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -85,118 +54,27 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object")
 
     # A run manifest embeds the resolved config; accept it directly so a
     # finished run can be reproduced from its own manifest.
-    if doc.get("tool") == "meanreflect" and isinstance(doc.get("config"), dict):
+    if (
+        isinstance(doc, dict)
+        and doc.get("tool") == "meanreflect"
+        and isinstance(doc.get("config"), dict)
+    ):
         inner = dict(doc["config"])
         if "seed" in doc and "seed" not in inner:
             inner["seed"] = doc["seed"]
         doc = inner
-
-    problems: list[str] = []
-
-    model = doc.get("model")
-    if not isinstance(model, dict):
-        problems.append("'model' object is required")
-        model = {}
-    case = model.get("case")
-    if case not in _CASES:
-        problems.append(f"model.case must be one of {_CASES}, got {case!r}")
-        case = "custom"
-    params = {k: v for k, v in model.items() if k != "case"}
-    required = oracle.CASES[case].params if case in oracle.CASES else _CUSTOM_PARAMS
-    optional = _CUSTOM_COEFFICIENTS if case == "custom" else ()
-    for name in required:
-        if name not in params:
-            problems.append(f"model.{name} is required for case {case!r}")
-    # Every field collected here must hold a finite number.
-    numbers = {f"model.{n}": params[n] for n in (*required, *optional) if n in params}
-
-    constraint = doc.get("constraint")
-    if case == "custom":
-        jump = params.get("jump", {"law": "dirac"})
-        if isinstance(jump, dict) and jump.get("law") in _JUMP_LAWS:
-            numbers.update((f"model.jump.{k}", v) for k, v in jump.items() if k != "law")
-        else:
-            problems.append(f"model.jump must be an object with 'law' in {_JUMP_LAWS}")
-        kind = constraint.get("kind", "linear") if isinstance(constraint, dict) else None
-        if kind in _CONSTRAINT_PARAMS:
-            numbers.update(
-                (f"constraint.{name}", constraint.get(name))
-                for name in _CONSTRAINT_PARAMS[kind]
-            )
-        else:
-            problems.append(
-                "custom case requires a 'constraint' object with 'kind' in "
-                f"{tuple(_CONSTRAINT_PARAMS)}"
-            )
-    elif constraint is not None:
-        problems.append(
-            f"case {case!r} implies its constraint; remove the 'constraint' object"
-        )
-    problems += [
-        f"{where} must be a finite number"
-        for where, value in numbers.items()
-        if not _is_number(value)
-    ]
-
-    grid = doc.get("grid")
-    if not isinstance(grid, dict):
-        problems.append("'grid' object with T and n is required")
-        grid = {"T": 1.0, "n": 1}
-    horizon, steps = grid.get("T"), grid.get("n")
-    particles = doc.get("particles")
-    replications = doc.get("replications", 1000)
-    seed = doc.get("seed")
-    if not (_is_number(horizon) and horizon > 0):
-        problems.append(f"grid.T must be > 0, got {horizon!r}")
-    for name, value in (
-        ("grid.n", steps), ("particles", particles), ("replications", replications)
-    ):
-        if not _is_count(value):
-            problems.append(f"{name} must be an integer >= 1, got {value!r}")
-    if seed is not None and type(seed) is not int:
-        problems.append(f"seed must be an integer, got {seed!r}")
-
-    sweep = {} if doc.get("sweep") is None else doc["sweep"]
-    if not isinstance(sweep, dict):
-        problems.append("'sweep' must be an object with 'n' and/or 'N' lists")
-        sweep = {}
-    menus = {"n": [steps], "N": [particles]}
-    for key in menus:
-        values = sweep.get(key)
-        if values is None:
-            continue
-        if isinstance(values, list) and values and all(map(_is_count, values)):
-            menus[key] = values
-        else:
-            problems.append(f"sweep.{key} must be a nonempty list of ints >= 1")
-
-    if problems:
-        raise ValidationError(
-            f"{path}: invalid config:\n  " + "\n  ".join(problems)
-        )
-
-    return ExperimentConfig(
-        case=case,
-        model_params=params,
-        horizon=float(horizon),
-        grid_steps=tuple(menus["n"]),
-        particles=tuple(menus["N"]),
-        replications=replications,
-        seed=seed,
-        constraint_params=constraint if case == "custom" else None,
-        base_steps=steps,
-        base_particles=particles,
-    )
+    try:
+        return ExperimentConfig.from_json_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _resolve_seed(args, config: ExperimentConfig, required: bool) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     if config.seed is not None:
         return config.seed
     if required:
@@ -296,6 +174,11 @@ def _cmd_oracle(args) -> int:
     spec = oracle.CASES.get(case)
     if spec is None:
         raise ValidationError(f"no reference solution for case {case!r}")
+    n_particles = config.single_particle_count()
+    if not 0 <= args.particle < n_particles:
+        raise ValidationError(
+            f"--particle must be in 0..{n_particles - 1}, got {args.particle}"
+        )
     seed = _resolve_seed(args, config, required=False) if spec.coupled else 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,7 +188,7 @@ def _cmd_oracle(args) -> int:
     if spec.coupled is None:
         path = spec.reference(model.params, grid)
     else:
-        noise = noise_record(model, grid, config.single_particle_count(), seed)
+        noise = noise_record(model, grid, n_particles, seed)
         path = spec.coupled(noise, model.params, grid, particle=args.particle)
     header = ["t", "K_exact", "meanY"]
     columns = [path.times, path.k_exact, path.mean_y]

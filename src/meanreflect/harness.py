@@ -15,6 +15,7 @@ without touching the within-cell independence of replications.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -32,6 +33,26 @@ from .stochastics import DiracPoint, LogNormal, derive_seed
 _REPLICATION_PURPOSE = 1
 
 
+# The custom case: required parameters, optional affine coefficients, jump
+# laws, and the numeric fields each constraint kind requires.
+_CUSTOM_PARAMS = ("lambda", "x0")
+_CUSTOM_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
+_JUMP_LAWS = ("lognormal", "dirac")
+_CONSTRAINT_PARAMS = {"linear": ("p",), "sine": ("alpha", "p")}
+
+
+def _is_number(value) -> bool:
+    """A finite float or an int within float range; booleans do not count."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_count(value) -> bool:
+    """An int in 1..2**32-1; booleans do not count. Step, particle and
+    replication indices share 32-bit Philox counter lanes, so larger counts
+    would reuse noise."""
+    return type(value) is int and 1 <= value < 2**32
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a model, a grid/particle menu, and replication count.
@@ -39,6 +60,19 @@ class ExperimentConfig:
     ``grid_steps`` and ``particles`` are the sweep menus consumed by
     :func:`convergence_sweep`; single-run commands use ``base_steps`` and
     ``base_particles`` (which default to the first menu entries).
+    Construction checks every field, however the config was built, and
+    raises one :class:`ValidationError` naming each problem by its place in
+    the JSON form (:meth:`from_json_dict`, :meth:`to_json_dict`)::
+
+        {
+          "model": {"case": <a key of oracle.CASES>|"custom", ...parameters...},
+          "constraint": {"kind": "linear"|"sine", ...},   # custom case only
+          "grid": {"T": <float>, "n": <int>},
+          "particles": <int>,
+          "replications": <int>,            # default 1000
+          "seed": <u64>,                    # optional; --seed overrides
+          "sweep": {"n": [<int>...], "N": [<int>...]}     # optional
+        }
     """
 
     case: str
@@ -53,15 +87,113 @@ class ExperimentConfig:
     base_particles: int | None = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValidationError(
-                f"replications must be >= 1, got {self.replications}"
-            )
-        if not self.grid_steps or not self.particles:
-            raise ValidationError("grid_steps and particles must be nonempty")
+        problems: list[str] = []
+        cases = (*oracle_mod.CASES, "custom")
+        case = self.case
+        if case not in cases:
+            problems.append(f"model.case must be one of {cases}, got {case!r}")
+            case = "custom"
+        params = self.model_params if isinstance(self.model_params, dict) else {}
+        required = oracle_mod.CASES[case].params if case != "custom" else _CUSTOM_PARAMS
+        optional = _CUSTOM_COEFFICIENTS if case == "custom" else ()
+        for name in required:
+            if name not in params:
+                problems.append(f"model.{name} is required for case {case!r}")
+        # Every field collected here must hold a finite number.
+        numbers = {f"model.{n}": params[n] for n in (*required, *optional) if n in params}
 
-    def grid(self, n: int | None = None) -> GridSpec:
-        return GridSpec(self.horizon, self.grid_steps[0] if n is None else n)
+        constraint = self.constraint_params
+        if case == "custom":
+            jump = params.get("jump", {"law": "dirac"})
+            if isinstance(jump, dict) and jump.get("law") in _JUMP_LAWS:
+                numbers.update((f"model.jump.{k}", v) for k, v in jump.items() if k != "law")
+            else:
+                problems.append(f"model.jump must be an object with 'law' in {_JUMP_LAWS}")
+            kind = constraint.get("kind", "linear") if isinstance(constraint, dict) else None
+            if kind in tuple(_CONSTRAINT_PARAMS):
+                numbers.update(
+                    (f"constraint.{name}", constraint.get(name))
+                    for name in _CONSTRAINT_PARAMS[kind]
+                )
+            else:
+                problems.append(
+                    "custom case requires a 'constraint' object with 'kind' in "
+                    f"{tuple(_CONSTRAINT_PARAMS)}"
+                )
+        elif constraint is not None:
+            problems.append(
+                f"case {case!r} implies its constraint; remove the 'constraint' object"
+            )
+        problems += [
+            f"{where} must be a finite number"
+            for where, value in numbers.items()
+            if not _is_number(value)
+        ]
+
+        if not (_is_number(self.horizon) and self.horizon > 0):
+            problems.append(f"grid.T must be > 0, got {self.horizon!r}")
+        if not _is_count(self.replications):
+            problems.append(
+                "replications must be an integer in 1..2**32-1, "
+                f"got {self.replications!r}"
+            )
+        # The seed is the 64-bit Philox key; larger seeds would alias smaller ones.
+        seed = self.seed
+        if seed is not None and not (type(seed) is int and 0 <= seed < 2**64):
+            problems.append(f"seed must be an integer in 0..2**64-1, got {seed!r}")
+        for name, key, base, menu in (
+            ("grid.n", "n", self.base_steps, self.grid_steps),
+            ("particles", "N", self.base_particles, self.particles),
+        ):
+            if base is not None and not _is_count(base):
+                problems.append(
+                    f"{name} must be an integer in 1..2**32-1, got {base!r}"
+                )
+            # A menu that is just the single-run size was checked above.
+            if (base is None or menu != (base,)) and not (
+                isinstance(menu, (tuple, list)) and menu and all(map(_is_count, menu))
+            ):
+                problems.append(
+                    f"sweep.{key} must be a nonempty list of ints in 1..2**32-1"
+                )
+        if problems:
+            raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
+
+    @classmethod
+    def from_json_dict(cls, doc) -> "ExperimentConfig":
+        """The config a JSON document describes; the inverse of
+        :meth:`to_json_dict`."""
+        if not isinstance(doc, dict):
+            raise ValidationError("top level must be a JSON object")
+        model, grid = doc.get("model"), doc.get("grid")
+        sweep = {} if doc.get("sweep") is None else doc["sweep"]
+        for name, part in (("model", model), ("grid", grid), ("sweep", sweep)):
+            if not isinstance(part, dict):
+                raise ValidationError(f"'{name}' must be a JSON object")
+        required = (("grid.n", grid.get("n")), ("particles", doc.get("particles")))
+        for name, value in required:
+            if value is None:
+                raise ValidationError(f"{name} is required")
+
+        def menu(key, single):
+            values = sweep.get(key)
+            if values is None:
+                return (single,)
+            return tuple(values) if isinstance(values, list) else values
+
+        horizon = grid.get("T")
+        return cls(
+            case=model.get("case"),
+            model_params={k: v for k, v in model.items() if k != "case"},
+            horizon=float(horizon) if _is_number(horizon) else horizon,
+            grid_steps=menu("n", grid["n"]),
+            particles=menu("N", doc["particles"]),
+            replications=doc.get("replications", 1000),
+            seed=doc.get("seed"),
+            constraint_params=doc.get("constraint"),
+            base_steps=grid["n"],
+            base_particles=doc["particles"],
+        )
 
     def single_grid(self) -> GridSpec:
         n = self.base_steps if self.base_steps is not None else self.grid_steps[0]
@@ -73,15 +205,16 @@ class ExperimentConfig:
         return self.particles[0]
 
     def to_json_dict(self) -> dict:
+        steps, particles = self.single_grid().steps, self.single_particle_count()
         doc = {
             "model": {"case": self.case, **self.model_params},
-            "grid": {"T": self.horizon, "n": self.single_grid().steps},
-            "particles": self.single_particle_count(),
+            "grid": {"T": self.horizon, "n": steps},
+            "particles": particles,
             "replications": self.replications,
         }
         if self.constraint_params is not None:
             doc["constraint"] = dict(self.constraint_params)
-        if len(self.grid_steps) > 1 or len(self.particles) > 1:
+        if (tuple(self.grid_steps), tuple(self.particles)) != ((steps,), (particles,)):
             doc["sweep"] = {"n": list(self.grid_steps), "N": list(self.particles)}
         if self.seed is not None:
             doc["seed"] = self.seed
@@ -97,14 +230,12 @@ def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
     """
     p = config.model_params
     try:
-        if config.case in oracle_mod.CASES:
-            case = oracle_mod.CASES[config.case]
-            return case.factory(*(p[name] for name in case.params))
         if config.case == "custom":
-            return _build_affine_model(p, config.constraint_params or {})
+            return _build_affine_model(p, config.constraint_params)
+        case = oracle_mod.CASES[config.case]
+        return case.factory(*(p[name] for name in case.params))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    raise ValidationError(f"unknown case {config.case!r}")
 
 
 def _build_affine_model(
@@ -127,20 +258,16 @@ def _build_affine_model(
     jump = params.get("jump", {"law": "dirac", "value": 1.0})
     if jump.get("law") == "lognormal":
         law = LogNormal(float(jump.get("location", 0.0)), float(jump.get("scale", 1.0)))
-    elif jump.get("law") == "dirac":
-        law = DiracPoint(float(jump.get("value", 1.0)))
     else:
-        raise ValidationError(f"unknown jump law {jump.get('law')!r}")
+        law = DiracPoint(float(jump.get("value", 1.0)))
     mark_mean = law.mean()
     kind = constraint_params.get("kind", "linear")
     if kind == "linear":
         constraint = model_mod.linear_constraint(float(constraint_params["p"]))
-    elif kind == "sine":
+    else:
         constraint = model_mod.sine_constraint(
             float(constraint_params["alpha"]), float(constraint_params["p"])
         )
-    else:
-        raise ValidationError(f"unknown constraint kind {kind!r}")
     spec = ModelSpec(
         drift=lambda x: -(beta + a * x),
         diffusion=lambda x: sigma + gamma * x,
@@ -194,7 +321,7 @@ def l2_error(
         raise ValidationError(f"no exact coupled path for case {config.case!r}")
     threads = worker_count() if threads is None else threads
     model, constraint = build_model(config)
-    grid = config.grid(n)
+    grid = GridSpec(config.horizon, config.grid_steps[0] if n is None else n)
     n_particles = config.particles[0] if n_particles is None else n_particles
     L = config.replications
     outer = max(1, min(threads, L))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NonFiniteBracket, SizeMismatch
 from .model import Constraint
-from .numerics import DEFAULT_MAX_ITER, DEFAULT_TOL_X, bisect_increasing, expand_bracket
+from .numerics import DEFAULT_TOL_X, bisect_increasing, expand_bracket
 
 
 def as_atoms(measure) -> np.ndarray:
@@ -81,14 +81,9 @@ class MeanEvaluator:
             )
         return float(np.mean(self._constraint.h(x + self._atoms)))
 
-    def root(
-        self,
-        tol_x: float = DEFAULT_TOL_X,
-        max_iter: int = DEFAULT_MAX_ITER,
-        use_closed_form: bool = True,
-    ) -> float:
+    def root(self) -> float:
         """The x with mean h(x + atoms) = 0."""
-        if self._kind == "linear" and use_closed_form:
+        if self._kind == "linear":
             return self._p - self.atom_mean
         at_zero = self(0.0)
         if not math.isfinite(at_zero):
@@ -104,20 +99,19 @@ class MeanEvaluator:
             if lo > hi:
                 lo, hi = hi, lo
             # Cushion against rounding pushing the root past an endpoint.
-            pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + tol_x
+            pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + DEFAULT_TOL_X
             lo -= pad
             hi += pad
         else:
             lo, hi = expand_bracket(self, -1.0, 1.0)
-        return bisect_increasing(self, lo, hi, tol_x=tol_x, max_iter=max_iter)
+        return bisect_increasing(self, lo, hi)
 
-    def g0(self, **root_options) -> float:
+    def g0(self) -> float:
         """Minimal nonnegative push: 0 when the constraint mean at 0 is
-        already nonnegative, else max(0, root). ``root_options`` go to
-        :meth:`root`."""
+        already nonnegative, else max(0, root)."""
         if self(0.0) >= 0.0:
             return 0.0
-        return max(0.0, self.root(**root_options))
+        return max(0.0, self.root())
 
 
 def h_mean(x: float, measure, constraint: Constraint) -> float:
@@ -126,20 +120,15 @@ def h_mean(x: float, measure, constraint: Constraint) -> float:
     return float(np.mean(constraint.h(x + atoms)))
 
 
-def bar_g0(measure, constraint: Constraint, **root_options) -> float:
-    """Root in x of the constraint mean; the signed minimal shift.
-
-    ``root_options`` go to :meth:`MeanEvaluator.root`; there
-    ``use_closed_form=False`` forces the bisection path even for linear
-    constraints (used to cross-check the shortcut).
-    """
-    return MeanEvaluator(as_atoms(measure), constraint).root(**root_options)
+def bar_g0(measure, constraint: Constraint) -> float:
+    """Root in x of the constraint mean; the signed minimal shift."""
+    return MeanEvaluator(as_atoms(measure), constraint).root()
 
 
-def g0(measure, constraint: Constraint, **root_options) -> float:
+def g0(measure, constraint: Constraint) -> float:
     """Minimal nonnegative push: max(0, bar_g0). Zero whenever the
     constraint mean at 0 is already nonnegative."""
-    return MeanEvaluator(as_atoms(measure), constraint).g0(**root_options)
+    return MeanEvaluator(as_atoms(measure), constraint).g0()
 
 
 @dataclass

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meanreflect import cli
 from meanreflect.cli import main, parse_config
 from meanreflect.errors import ParseError, ValidationError
 
@@ -198,6 +199,18 @@ class TestOracleCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("particle", [-1, 10])
+    def test_particle_out_of_range_rejected(
+        self, tmp_path, capsys, monkeypatch, particle
+    ):
+        monkeypatch.setattr(cli, "noise_record", None)  # no noise may be drawn
+        cfg = write_config(tmp_path, dict(MINIMAL, particles=10))
+        assert main([
+            "oracle", "--config", cfg, "--seed", "7", "--particle", str(particle),
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert "--particle must be in 0..9" in capsys.readouterr().err
+
     def test_case_iii_uncoupled(self, tmp_path, config_dir):
         doc = json.loads((config_dir / "fig5.json").read_text())
         doc["grid"]["n"] = 30
@@ -296,6 +309,17 @@ class TestValidateCommand:
     def test_boolean_horizon_rejected(self, tmp_path, capsys):
         doc = dict(MINIMAL, grid={"T": True, "n": 40})
         assert "grid.T must be > 0" in self.validate_error(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("steps, seed", [
+    (10**30, "7"), (40, "-1"), (40, str(2**64)),
+], ids=["huge_n", "negative_seed", "seed_past_u64"])
+def test_out_of_range_size_or_seed_exits_one(tmp_path, capsys, steps, seed):
+    cfg = write_config(tmp_path, dict(MINIMAL, grid={"T": 1.0, "n": steps}))
+    assert main(["simulate", "--config", cfg, "--seed", seed,
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_two():

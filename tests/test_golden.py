@@ -20,6 +20,9 @@ FIG1 = {"case": "i", "beta": 2.0, "sigma": 1.0, "eta": 1.0, "lambda": 5.0,
         "x0": 1.0, "p": 0.5}
 FIG3 = {"case": "ii", "a": 3.0, "gamma": 1.0, "theta": 1.0, "lambda": 2.0,
         "x0": 4.0, "p": 1.0}
+CUSTOM = {"case": "custom", "beta": 0.5, "a": 1.0, "sigma": 0.3, "gamma": 0.1,
+          "eta": 0.2, "theta": 0.1, "lambda": 2.0, "x0": 1.0,
+          "jump": {"law": "lognormal", "location": 0.0, "scale": 0.5}}
 FIG5 = {"case": "iii", "beta": 0.01, "a": 0.01, "sigma": 1.0, "eta": 0.1,
         "lambda": 1.0, "x0": FIG5_X0, "p": FIG5_P, "alpha": 0.9}
 
@@ -37,6 +40,11 @@ GOLDEN = {
                 "46f32948bf13ae9ef038605e70eec824517b0b0e1b060722202e65c231c78d6f"),
     "path-iii": ("simulate", _doc(FIG5, 15.0, 30, 200), "path.csv",
                  "9f9971575df1419ff6c2f14cab391d5f0124bc8eed65248113b3b7f64953d44a"),
+    "path-custom": ("simulate",
+                    _doc(CUSTOM, 1.0, 20, 200,
+                         constraint={"kind": "sine", "alpha": 0.5, "p": 0.8}),
+                    "path.csv",
+                    "e48eccd907bf19641bc85daec05eeca605592a071adec35601c56ad656735662"),
     "oracle-i": ("oracle", _doc(FIG1, 1.0, 20, 200), "oracle.csv",
                  "f78f9d57b4ac395f6cc52590e78e1ebc43bce5fbe31d9bbecfe0dc7c93141cd7"),
     "oracle-ii": ("oracle", _doc(FIG3, 1.0, 20, 200), "oracle.csv",

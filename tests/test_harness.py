@@ -1,9 +1,13 @@
 """Error estimator, convergence table, regressions, complementarity report."""
 
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanreflect.errors import DegenerateAbscissae, ValidationError
 from meanreflect.harness import (
@@ -15,7 +19,7 @@ from meanreflect.harness import (
     skorokhod_report,
 )
 from meanreflect.model import linear_constraint
-from meanreflect.oracle import exact_case_i
+from meanreflect.oracle import CASES, exact_case_i
 from meanreflect import harness
 from meanreflect.scheme import GridSpec, TrajectoryRecord, simulate
 from meanreflect.stochastics import DiracPoint, uniforms, Channel
@@ -40,6 +44,118 @@ def fig1_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+COUNTS = st.integers(1, 2**32 - 1)
+MENUS = st.lists(COUNTS, min_size=1, max_size=3).map(tuple)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    """Any valid ExperimentConfig, built the way Python callers build one."""
+    case = draw(st.sampled_from([*CASES, "custom"]))
+    constraint = None
+    if case == "custom":
+        names = ["lambda", "x0", *draw(st.lists(st.sampled_from(
+            ["beta", "a", "sigma", "gamma", "eta", "theta"]), unique=True))]
+        params = {name: draw(FINITE) for name in names}
+        params["jump"] = draw(st.sampled_from([
+            {"law": "lognormal", "location": draw(FINITE), "scale": draw(FINITE)},
+            {"law": "dirac", "value": draw(FINITE)},
+        ]))
+        constraint = draw(st.sampled_from([
+            {"kind": "linear", "p": draw(FINITE)},
+            {"kind": "sine", "alpha": draw(FINITE), "p": draw(FINITE)},
+        ]))
+    else:
+        params = {name: draw(FINITE) for name in CASES[case].params}
+    return ExperimentConfig(
+        case=case,
+        model_params=params,
+        horizon=draw(st.floats(min_value=1e-300, allow_infinity=False)),
+        grid_steps=draw(MENUS),
+        particles=draw(MENUS),
+        replications=draw(COUNTS),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        constraint_params=constraint,
+        base_steps=draw(st.none() | COUNTS),
+        base_particles=draw(st.none() | COUNTS),
+    )
+
+
+FULL_CUSTOM_DOC = {
+    "model": {"case": "custom", "beta": 0.5, "a": 1.0, "sigma": 0.3, "gamma": 0.1,
+              "eta": 0.2, "theta": 0.1, "lambda": 2.0, "x0": 1.0,
+              "jump": {"law": "lognormal", "location": 0.0, "scale": 0.5}},
+    "constraint": {"kind": "sine", "alpha": 0.5, "p": 0.8},
+    "grid": {"T": 1.0, "n": 20},
+    "particles": 200,
+    "replications": 4,
+    "seed": 7,
+    "sweep": {"n": [10, 20], "N": [100, 200]},
+}
+FULL_BUILTIN_DOC = {
+    "model": {"case": "i", **FIG1_PARAMS},
+    "grid": {"T": 1.0, "n": 20},
+    "particles": 200,
+}
+
+# Junk no field accepts; its strings spell no case, law or constraint kind.
+_JUNK = st.one_of(
+    st.booleans(),
+    st.text(alphabet="xyz", max_size=3),
+    st.lists(st.booleans(), max_size=2),
+)
+_BAD_NUMBER = st.one_of(
+    _JUNK, st.none(), st.dictionaries(st.just("x"), st.integers()),
+    st.integers(min_value=2**1024), st.integers(max_value=-(2**1024)),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+_BAD_COUNT = st.one_of(
+    _BAD_NUMBER, st.integers(max_value=0), st.integers(min_value=2**32), st.floats()
+)
+_BAD_SEED = st.one_of(
+    _JUNK, st.floats(), st.integers(max_value=-1), st.integers(min_value=2**64)
+)
+_BAD_MENU = st.one_of(
+    _JUNK, st.integers(), st.just([]), st.lists(_BAD_COUNT, min_size=1, max_size=2)
+)
+_BAD_OBJECT = _JUNK | st.none() | st.integers()
+
+# JSON path -> values that must be rejected there. ``None`` is absent from
+# the optional fields, where it means "not given".
+BAD_VALUES = {
+    ("model",): _BAD_OBJECT,
+    ("model", "case"): _BAD_OBJECT,
+    ("grid",): _BAD_OBJECT,
+    ("grid", "T"): _BAD_NUMBER | st.floats(max_value=0.0),
+    ("grid", "n"): _BAD_COUNT,
+    ("particles",): _BAD_COUNT,
+    ("replications",): _BAD_COUNT,
+    ("seed",): _BAD_SEED,
+    ("sweep",): _JUNK | st.integers(),
+    ("sweep", "n"): _BAD_MENU,
+    ("sweep", "N"): _BAD_MENU,
+    ("constraint",): (_JUNK | st.integers()
+                      | st.dictionaries(st.just("x"), st.integers())),
+    ("constraint", "kind"): _BAD_OBJECT,
+    ("constraint", "alpha"): _BAD_NUMBER,
+    ("constraint", "p"): _BAD_NUMBER,
+    ("model", "jump"): _BAD_OBJECT,
+    ("model", "jump", "law"): _BAD_OBJECT,
+    ("model", "jump", "scale"): _BAD_NUMBER,
+    **{("model", name): _BAD_NUMBER for name in (*FIG1_PARAMS, "a", "gamma", "theta")},
+}
+
+
+def _settable(doc, path) -> bool:
+    """Whether ``doc`` has the field at ``path``. Top-level fields always
+    count: a seed or sweep may be added, and so may a constraint, which a
+    built-in case does not take."""
+    for key in path[:-1]:
+        doc = doc.get(key, {})
+    return len(path) == 1 or (isinstance(doc, dict) and path[-1] in doc)
+
+
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -53,6 +169,62 @@ class TestExperimentConfig:
         assert doc["model"]["case"] == "i"
         assert doc["sweep"] == {"n": [50, 100], "N": [200, 400]}
         assert doc["seed"] == 3
+
+    @pytest.mark.parametrize("overrides", [
+        {"model_params": {k: v for k, v in FIG1_PARAMS.items() if k != "beta"}},
+        {"case": "custom", "model_params": {"lambda": 1.0, "x0": 1.0, "jump": 5},
+         "constraint_params": {"kind": "linear", "p": 0.5}},
+        {"model_params": dict(FIG1_PARAMS, beta=True)},
+        {"grid_steps": (10**30,)},
+        {"base_particles": 2**32},
+        {"seed": -1},
+        {"seed": 2**64},
+    ], ids=["missing_param", "int_jump", "bool_beta", "huge_n", "particles_2_32",
+            "negative_seed", "seed_2_64"])
+    def test_python_built_config_is_checked(self, overrides):
+        """Configs built in Python get the checks JSON configs get."""
+        with pytest.raises(ValidationError):
+            fig1_config(**overrides)
+
+    def test_one_cell_sweep_kept_in_json(self):
+        cfg = fig1_config(grid_steps=(5,), particles=(10,),
+                          base_steps=40, base_particles=500)
+        back = ExperimentConfig.from_json_dict(cfg.to_json_dict())
+        assert (back.grid_steps, back.particles) == ((5,), (10,))
+        assert (back.single_grid().steps, back.single_particle_count()) == (40, 500)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_json_round_trip(self, data):
+        """from_json_dict inverts to_json_dict, also through JSON text."""
+        cfg = data.draw(configs())
+        back = ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
+        assert back.case == cfg.case
+        assert back.model_params == cfg.model_params
+        assert back.constraint_params == cfg.constraint_params
+        assert back.horizon == cfg.horizon
+        assert (back.grid_steps, back.particles) == (cfg.grid_steps, cfg.particles)
+        assert back.single_grid() == cfg.single_grid()
+        assert back.single_particle_count() == cfg.single_particle_count()
+        assert back.replications == cfg.replications
+        assert back.seed == cfg.seed
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bad_field_raises_validation_error(self, data):
+        """A bad value in any one field raises ValidationError, nothing else."""
+        base = data.draw(st.sampled_from([FULL_CUSTOM_DOC, FULL_BUILTIN_DOC]))
+        path = data.draw(st.sampled_from(sorted(
+            p for p in BAD_VALUES if _settable(base, p)
+        )))
+        doc = copy.deepcopy(base)
+        *parents, leaf = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[leaf] = data.draw(BAD_VALUES[path])
+        with pytest.raises(ValidationError):
+            ExperimentConfig.from_json_dict(doc)
 
 
 class TestBuildModel:
