@@ -44,7 +44,6 @@ from .model import (
     make_case_i,
     make_case_ii,
     make_case_iii,
-    mc_compensator,
     sine_constraint,
     sine_constraint_root,
     validate,
@@ -81,6 +80,7 @@ from .stochastics import (
     NoiseRecord,
     StreamKey,
     derive_seed,
+    expect,
     gaussian,
     gaussians,
     jump_sizes,

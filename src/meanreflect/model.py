@@ -24,14 +24,9 @@ import numpy as np
 
 from . import stochastics
 from .numerics import bisect_increasing, expand_bracket
-from .stochastics import CustomSampler, DiracPoint, Law, LogNormal
+from .stochastics import DiracPoint, Law, LogNormal, expect
 
 _SQRT_E = math.sqrt(math.e)
-
-#: Internal seed for the Monte Carlo compensator fallback; fixed so scheme
-#: determinism never depends on compensator noise.
-_COMPENSATOR_SEED = 0x434F4D50454E5341
-_COMPENSATOR_MARKS = 100_000
 
 #: Internal seed for validation sampling (report must be reproducible).
 _VALIDATE_SEED = 0x56414C4944415445
@@ -97,51 +92,15 @@ def sine_constraint_root(alpha: float, p: float) -> float:
     return bisect_increasing(f, lo, hi, tol_x=1e-14)
 
 
-def mc_compensator(
-    jump_amplitude: Callable,
-    intensity: float,
-    law: Law,
-    n_marks: int = _COMPENSATOR_MARKS,
-    chunk: int = 4096,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Monte Carlo fallback for x -> intensity * E_mark[F(x, mark)].
-
-    Marks are drawn once from a fixed internal substream and cached, so the
-    returned callable is deterministic and safe to share across workers.
-    """
-    cache: list[np.ndarray] = []
-
-    def compensator(x):
-        if not cache:
-            u = stochastics.uniforms(
-                _COMPENSATOR_SEED, np.arange(n_marks), 0,
-                stochastics.Channel.JUMP_SIZE,
-            )
-            cache.append(law.from_uniform(u))
-        marks = cache[0]
-        x_arr = np.asarray(x, dtype=np.float64)
-        scalar = x_arr.ndim == 0
-        xa = np.atleast_1d(x_arr)
-        total = np.zeros(xa.shape)
-        for lo in range(0, n_marks, chunk):
-            z = marks[lo : lo + chunk]
-            vals = np.broadcast_to(
-                jump_amplitude(xa[:, None], z[None, :]), (xa.size, z.size)
-            )
-            total += vals.sum(axis=1)
-        out = intensity * total / n_marks
-        return float(out[0]) if scalar else out
-
-    return compensator
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Coefficients, jump structure and initial law of one model.
 
     Coefficient callables must accept numpy arrays (or broadcast against
     them). ``compensator`` is x -> intensity * E_mark[F(x, mark)]; when not
-    supplied it is replaced by the Monte Carlo fallback.
+    supplied, :func:`~meanreflect.stochastics.expect` takes it by the mark
+    law's quadrature rule: 1, 64 or 1024 evaluations of F per call for a
+    point, lognormal or quantile-function law.
     """
 
     drift: Callable
@@ -149,7 +108,7 @@ class ModelSpec:
     jump_amplitude: Callable
     intensity: float
     jump_size_law: Law
-    initial_law: DiracPoint | CustomSampler
+    initial_law: Law
     compensator: Callable | None = None
     case: str = "custom"
     params: dict = field(default_factory=dict)
@@ -158,12 +117,9 @@ class ModelSpec:
         if self.intensity <= 0.0:
             raise ValueError(f"intensity must be > 0, got {self.intensity}")
         if self.compensator is None:
+            lam, law, amp = self.intensity, self.jump_size_law, self.jump_amplitude
             object.__setattr__(
-                self,
-                "compensator",
-                mc_compensator(
-                    self.jump_amplitude, self.intensity, self.jump_size_law
-                ),
+                self, "compensator", lambda x: lam * expect(law, lambda z: amp(x, z))
             )
 
 
@@ -307,14 +263,14 @@ def validate(
     constraint: Constraint,
     lipschitz_grid: np.ndarray | None = None,
     lipschitz_bound: float = 1e6,
-    initial_samples: int = 100_000,
 ) -> ValidationReport:
     """Report-only check of the model and constraint invariants.
 
     Hard violations: non-positive intensity, broken (m, M) ordering,
     non-monotone or non-bi-Lipschitz h on sampled pairs, negative initial
-    constraint mean. Advisory warnings: finite-difference coefficient slopes
-    above ``lipschitz_bound`` (global Lipschitz continuity cannot be
+    constraint mean E[h(X0)] (by the initial law's quadrature rule, exact
+    for a point mass). Advisory warnings: finite-difference coefficient
+    slopes above ``lipschitz_bound`` (global Lipschitz continuity cannot be
     certified numerically, so this never rejects).
     """
     report = ValidationReport()
@@ -366,24 +322,9 @@ def validate(
             )
 
     # Initial mean constraint E[h(X0)] >= 0.
-    if isinstance(spec.initial_law, DiracPoint):
-        h0 = float(constraint.h(spec.initial_law.value))
-        if h0 < 0.0:
-            report.violations.append(
-                f"mean h(X0) = {h0:.6g} < 0 for the point initial law"
-            )
-    else:
-        u = stochastics.uniforms(
-            _VALIDATE_SEED + 2, np.arange(initial_samples), 0,
-            stochastics.Channel.INITIAL,
-        )
-        hvals = np.asarray(constraint.h(spec.initial_law.from_uniform(u)))
-        mean = float(hvals.mean())
-        se = float(hvals.std(ddof=1)) / math.sqrt(initial_samples)
-        if mean < -3.0 * se:
-            report.violations.append(
-                f"mean h(X0) = {mean:.6g} < 0 beyond 3 standard errors ({se:.2g})"
-            )
+    h0 = float(expect(spec.initial_law, constraint.h))
+    if h0 < 0.0:
+        report.violations.append(f"mean h(X0) = {h0:.6g} < 0")
 
     # Advisory finite-difference Lipschitz spot-check.
     grid = (
@@ -401,17 +342,15 @@ def validate(
                 f"{name} finite-difference slope {slopes.max():.3g} exceeds "
                 f"{lipschitz_bound:.3g}"
             )
-    mark = spec.jump_size_law.mean()
-    marks = [mark] if mark is not None else [1.0]
-    for z in marks:
-        vals = np.broadcast_to(
-            np.asarray(spec.jump_amplitude(grid, z), dtype=np.float64), grid.shape
+    z = spec.jump_size_law.mean()
+    vals = np.broadcast_to(
+        np.asarray(spec.jump_amplitude(grid, z), dtype=np.float64), grid.shape
+    )
+    slopes = np.abs(np.diff(vals)[keep] / dx[keep])
+    if slopes.size and slopes.max() > lipschitz_bound:
+        report.warnings.append(
+            f"jump_amplitude slope {slopes.max():.3g} at mark {z:.3g} "
+            f"exceeds {lipschitz_bound:.3g}"
         )
-        slopes = np.abs(np.diff(vals)[keep] / dx[keep])
-        if slopes.size and slopes.max() > lipschitz_bound:
-            report.warnings.append(
-                f"jump_amplitude slope {slopes.max():.3g} at mark {z:.3g} "
-                f"exceeds {lipschitz_bound:.3g}"
-            )
 
     return report

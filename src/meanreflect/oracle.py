@@ -34,20 +34,16 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import stochastics
 from .errors import DerivativesMissing, NoiseMismatch
 from .model import Constraint, ModelSpec, make_case_i, make_case_ii, make_case_iii
 from .numerics import bisect_increasing, expand_bracket
 from .scheme import GridSpec, simulate
-from .stochastics import DiracPoint, NoiseRecord
+from .stochastics import NoiseRecord, expect
 
 _SQRT_E = math.sqrt(math.e)
 
 #: Above this mean-reversion speed the case-iii jump factor is dubious.
 SMALL_A_GUARD = 0.05
-
-_DENSITY_MARKS = 10_000
-_DENSITY_SEED = 0x44454E53495459
 
 
 @dataclass
@@ -281,35 +277,24 @@ def _jump_generator_term(
     model: ModelSpec,
     constraint: Constraint,
 ) -> np.ndarray:
-    """intensity * E_mark[h(x+F) - h(x) - F h'(x)] per atom."""
+    """intensity * E_mark[h(x+F) - h(x) - F h'(x)] per atom.
+
+    Zero for a linear h; otherwise the mark expectation is taken by the jump
+    law's quadrature rule (exact for point marks).
+    """
     if constraint.kind == "linear":
         return np.zeros_like(atoms)
     h = constraint.h
-    if isinstance(model.jump_size_law, DiracPoint):
+    h_at = h(atoms)
+
+    def bracket(z):
         amp = np.broadcast_to(
-            np.asarray(
-                model.jump_amplitude(atoms, model.jump_size_law.value),
-                dtype=np.float64,
-            ),
+            np.asarray(model.jump_amplitude(atoms, z), dtype=np.float64),
             atoms.shape,
         )
-        return model.intensity * (h(atoms + amp) - h(atoms) - amp * h_prime_vals)
-    u = stochastics.uniforms(
-        _DENSITY_SEED, np.arange(_DENSITY_MARKS), 0, stochastics.Channel.JUMP_SIZE
-    )
-    marks = model.jump_size_law.from_uniform(u)
-    h_at = h(atoms)
-    total = np.zeros_like(atoms)
-    chunk = max(1, _DENSITY_MARKS * 200 // max(1, atoms.size))
-    for lo in range(0, marks.size, chunk):
-        z = marks[lo : lo + chunk]
-        amp = np.broadcast_to(
-            np.asarray(model.jump_amplitude(atoms[:, None], z[None, :])),
-            (atoms.size, z.size),
-        )
-        bracket = h(atoms[:, None] + amp) - h_at[:, None] - amp * h_prime_vals[:, None]
-        total += bracket.sum(axis=1)
-    return model.intensity * total / marks.size
+        return h(atoms + amp) - h_at - amp * h_prime_vals
+
+    return model.intensity * expect(model.jump_size_law, bracket)
 
 
 def density_k(
@@ -323,7 +308,7 @@ def density_k(
     Applies the generator of h to the cloud and returns the negative part
     of its mean divided by the mean of h', gated by whether the constraint
     mean sits at the boundary (within ``epsilon_active``, which defaults to
-    three standard errors of the constraint mean).
+    three times the standard error of the constraint mean).
     """
     if constraint.h_prime is None or constraint.h_second is None:
         raise DerivativesMissing(

@@ -28,7 +28,7 @@ from .errors import NonFiniteState
 from .model import Constraint, ModelSpec
 from .parallel import run_chunked, worker_count
 from .reflection import MeanEvaluator, ReflectionTracker
-from .stochastics import CustomSampler, DiracPoint, NoiseRecord
+from .stochastics import DiracPoint, NoiseRecord
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,9 @@ class ParticleSystem:
         self.noise = noise_record(model, grid, n_particles, self.seed)
         if isinstance(model.initial_law, DiracPoint):
             self.U = np.full(n_particles, float(model.initial_law.value))
-        elif isinstance(model.initial_law, CustomSampler):
-            self.U = np.asarray(
-                model.initial_law.from_uniform(self.noise.initial_uniforms()),
-                dtype=np.float64,
-            ).copy()
-        else:
-            raise TypeError(
-                f"unsupported initial law {type(model.initial_law).__name__}"
-            )
+        else:  # every law's draws are float64; np.array copies them
+            u = self.noise.initial_uniforms()
+            self.U = np.array(model.initial_law.from_uniform(u))
         self.tracker = ReflectionTracker()
         self.k = 0
         self._reflect()

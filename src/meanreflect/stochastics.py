@@ -13,10 +13,14 @@ Variates are produced by inverse transform from a single uniform per key:
 Gaussians through the normal quantile, Poisson counts through CDF
 inversion, jump marks through the law's quantile function. This keeps the
 consumption per key fixed, which is what makes replay order-independent.
+
+Expectations over a law use no draws at all: each law carries one fixed
+quadrature rule, and :func:`expect` is the single place that applies it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -185,8 +189,20 @@ class DiracPoint:
     def mean(self) -> float:
         return self.value
 
-    def second_moment(self) -> float:
-        return self.value * self.value
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atom itself with weight 1: exact."""
+        return np.array([self.value]), np.ones(1)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """64-node Gauss-Hermite rule for the standard normal law."""
+    from numpy.polynomial.hermite_e import hermegauss  # only laws that need it
+
+    nodes, weights = hermegauss(64)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -206,8 +222,10 @@ class LogNormal:
     def mean(self) -> float:
         return math.exp(self.location + 0.5 * self.scale**2)
 
-    def second_moment(self) -> float:
-        return math.exp(2.0 * self.location + 2.0 * self.scale**2)
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Hermite nodes of the underlying Gaussian, exponentiated."""
+        nodes, weights = _hermite_rule()
+        return np.exp(self.location + self.scale * nodes), weights
 
 
 @dataclass(frozen=True)
@@ -219,19 +237,29 @@ class CustomSampler:
     """
 
     quantile: Callable[[np.ndarray], np.ndarray]
-    mean_value: float | None = None
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(self.quantile(u), dtype=np.float64)
 
-    def mean(self) -> float | None:
-        return self.mean_value
+    def mean(self) -> float:
+        return float(expect(self, lambda z: z))
 
-    def second_moment(self) -> float | None:
-        return None
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """1024-node midpoint rule in the uniform variable of the quantile."""
+        u = (np.arange(1024) + 0.5) / 1024
+        return self.from_uniform(u), np.full(1024, 1.0 / 1024)
 
 
 Law = Union[DiracPoint, LogNormal, CustomSampler]
+
+
+def expect(law: Law, fn: Callable):
+    """E[fn(Z)] for Z ~ ``law``, by the law's fixed quadrature rule.
+
+    ``fn`` is called on one node at a time, so memory stays at the size of
+    one ``fn`` output whatever the node count.
+    """
+    return sum(w * fn(z) for z, w in zip(*law.quadrature()))
 
 
 def jump_sizes(key: StreamKey, count: int, law: Law) -> np.ndarray:

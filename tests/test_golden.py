@@ -53,6 +53,8 @@ GOLDEN = {
                    "803a2094738c13cec159819a96ab999bbe986181d6cd86fc3c7c2f1bf2287f52"),
     "density-i": ("density", _doc(FIG1, 1.0, 20, 500), "density.csv",
                   "470faf994087f5f0d8e9f5f677fb646a4d85f78d4e20503db3bc116df61d276f"),
+    "density-iii": ("density", _doc(FIG5, 15.0, 30, 500), "density.csv",
+                    "4de51d538d8014ab95f2bcf1103ed9a60e7cbaeca408ce69ae7c4d7120a171d3"),
     "convergence-fig2": (
         "convergence",
         _doc(FIG1, 1.0, 10, 100, replications=3, sweep={"N": [50, 100]}),

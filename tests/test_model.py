@@ -12,7 +12,6 @@ from meanreflect.model import (
     make_case_i,
     make_case_ii,
     make_case_iii,
-    mc_compensator,
     sine_constraint,
     sine_constraint_root,
     validate,
@@ -157,7 +156,7 @@ class TestValidate:
             compensator=spec.compensator,
         )
         report = validate(shifted, constraint)
-        assert any("standard errors" in v for v in report.violations)
+        assert any("h(X0)" in v for v in report.violations)
 
     def test_lipschitz_spot_check_warns_only(self):
         rough = ModelSpec(
@@ -220,14 +219,18 @@ class TestMonteCarloAgainstAnalytic:
             analytic = float(np.asarray(spec.compensator(x)))
             assert abs(est - analytic) <= 4.0 * se + 1e-12
 
-    def test_mc_fallback_matches_analytic_case_i(self):
-        fallback = mc_compensator(lambda x, z: 1.0 * z, 5.0, LogNormal())
-        se = 5.0 * math.sqrt((math.e - 1.0) * math.e / 100_000)
-        assert abs(fallback(0.0) - 5.0 * SQRT_E) < 4.0 * se
-        # vectorized evaluation and per-instance caching
-        out = fallback(np.array([0.0, 1.0]))
-        assert out.shape == (2,)
-        assert out[0] == out[1]
+    def test_default_compensator_matches_analytic(self):
+        spec = ModelSpec(
+            drift=lambda x: 0.0,
+            diffusion=lambda x: 1.0,
+            jump_amplitude=lambda x, z: z * (1.0 + x),
+            intensity=5.0,
+            jump_size_law=LogNormal(),
+            initial_law=DiracPoint(1.0),
+        )
+        assert spec.compensator(0.0) == pytest.approx(5.0 * SQRT_E, rel=1e-13)
+        out = spec.compensator(np.array([0.0, 1.0]))
+        assert out == pytest.approx([5.0 * SQRT_E, 10.0 * SQRT_E], rel=1e-13)
 
 
 def test_constraint_monotonicity_invariant():

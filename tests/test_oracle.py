@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from meanreflect.errors import DerivativesMissing, NoiseMismatch
 from meanreflect.model import (
@@ -17,6 +17,7 @@ from meanreflect.model import (
 )
 from meanreflect.oracle import (
     _case_iii_constraint_mean,
+    _jump_generator_term,
     density_k,
     density_series,
     exact_case_i,
@@ -273,11 +274,25 @@ class TestDensity:
         with pytest.raises(DerivativesMissing):
             density_k([1.0, 2.0], model, bare)
 
-    def test_lognormal_marks_monte_carlo_branch(self):
-        # nonlinear h with continuous marks exercises the sampled bracket
+    def test_lognormal_marks_match_adaptive_quadrature(self):
+        # nonlinear h with continuous marks: the Gauss-Hermite bracket
+        # against scipy's adaptive quadrature over the log-mark
         model, _ = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
         constraint = sine_constraint(0.5, 0.5)
         atoms = np.linspace(0.0, 0.6, 64)
+        h, hp = constraint.h, constraint.h_prime
+        got = _jump_generator_term(atoms, hp(atoms), model, constraint)
+
+        def reference(x):
+            def integrand(g):
+                z = math.exp(g)
+                return (h(x + z) - h(x) - z * hp(x)) * math.exp(-0.5 * g * g)
+
+            value = quad(integrand, -12.0, 12.0, limit=2000, epsabs=1e-13)[0]
+            return 5.0 * value / math.sqrt(2.0 * math.pi)
+
+        want = np.array([reference(x) for x in atoms])
+        assert np.max(np.abs(got - want)) < 2e-2
         value = density_k(atoms, model, constraint, epsilon_active=np.inf)
         assert np.isfinite(value)
 

@@ -1,5 +1,6 @@
 """Particle scheme: stepping, coupling identity, reductions, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,13 +12,14 @@ from meanreflect.model import (
     linear_constraint,
     make_case_i,
     make_case_ii,
+    validate,
 )
 from meanreflect.scheme import (
     GridSpec,
     ParticleSystem,
     simulate,
 )
-from meanreflect.stochastics import CustomSampler, DiracPoint
+from meanreflect.stochastics import CustomSampler, DiracPoint, LogNormal
 
 SQRT_E = math.sqrt(math.e)
 
@@ -91,6 +93,18 @@ class TestInit:
         want = p - system.U.mean()  # closed-form push on the drawn atoms
         assert want > 0
         assert system.tracker.running_sup == pytest.approx(want, abs=1e-12)
+
+    def test_lognormal_initial_law_drawn_from_initial_channel(self):
+        model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
+        model = dataclasses.replace(model, initial_law=LogNormal(0.0, 0.5))
+        assert validate(model, constraint).ok
+        seen = {}
+        traj = simulate(
+            model, constraint, GridSpec(1.0, 5), 300, seed=4,
+            observe=lambda k, X: seen.setdefault(k, X.copy()),
+        )
+        want = LogNormal(0.0, 0.5).from_uniform(traj.noise.initial_uniforms())
+        assert np.array_equal(seen[0], want + traj.k_hat[0])
 
 
 class TestStep:
@@ -239,3 +253,13 @@ class TestSimulate:
             sups.append(float(np.mean(running**2)))
         assert all(np.isfinite(sups))
         assert 0.5 < sups[0] / sups[1] < 2.0
+
+    def test_omitted_compensator_gives_analytic_k_hat(self):
+        # case i with its compensator omitted: ModelSpec takes lam * E[eta Z]
+        # by the lognormal Gauss-Hermite rule in place of lam * eta * sqrt(e)
+        analytic, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
+        default = dataclasses.replace(analytic, compensator=None)
+        grid = GridSpec(1.0, 5)
+        want = simulate(analytic, constraint, grid, 2000, seed=3).k_hat
+        got = simulate(default, constraint, grid, 2000, seed=3).k_hat
+        assert np.max(np.abs(got - want)) <= 1e-12

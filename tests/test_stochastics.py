@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from meanreflect import stochastics as sto
 from meanreflect.errors import NoiseMismatch
@@ -21,6 +22,7 @@ from meanreflect.stochastics import (
     NoiseRecord,
     StreamKey,
     derive_seed,
+    expect,
     gaussian,
     gaussians,
     jump_sizes,
@@ -147,11 +149,28 @@ def test_lognormal_mean_million_draws():
 
 
 def test_custom_sampler_quantile():
-    law = CustomSampler(quantile=lambda u: 2.0 * u + 1.0, mean_value=2.0)
+    law = CustomSampler(quantile=lambda u: 2.0 * u + 1.0)
     u = uniforms(1, np.arange(1000), 0, Channel.JUMP_SIZE)
     vals = law.from_uniform(u)
     assert np.all((1.0 < vals) & (vals < 3.0))
-    assert law.mean() == 2.0
+    assert law.mean() == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law, power, want, rel",
+    [
+        (DiracPoint(1.5), 2, 2.25, 0.0),
+        *[(LogNormal(0.0, s), k, math.exp(0.5 * (k * s) ** 2), 1e-12)
+          for s in (0.5, 1.0, 2.0, 3.0) for k in (1, 2)],
+        (CustomSampler(lambda u: 2.0 * u + 1.0), 1, 2.0, 1e-12),
+        (CustomSampler(lambda u: -np.log1p(-u)), 1, 1.0, 5e-4),
+        (CustomSampler(lambda u: np.exp(ndtri(u))), 1, SQRT_E, 3e-3),
+    ],
+    ids=["dirac"] + [f"lognormal-{s}-m{k}" for s in (0.5, 1, 2, 3) for k in (1, 2)]
+    + ["quantile-linear", "quantile-exp", "quantile-lognormal"],
+)
+def test_quadrature_rule_moments(law, power, want, rel):
+    assert abs(expect(law, lambda z: z**power) - want) <= rel * want
 
 
 def test_replay_invariance_orders_and_chunks():
