@@ -196,10 +196,8 @@ def _cmd_oracle(args) -> int:
         header.append("X_exact")
         columns.append(path.x_exact)
     _write_csv(out_dir / "oracle.csv", header, columns)
-    tag = " (approximate)" if path.approximate else ""
     print(
-        f"oracle{tag}: K_exact(T) = {path.k_exact[-1]:.6g}, "
-        f"wrote {out_dir / 'oracle.csv'}"
+        f"oracle: K_exact(T) = {path.k_exact[-1]:.6g}, wrote {out_dir / 'oracle.csv'}"
     )
     return 0
 

@@ -97,10 +97,11 @@ class ModelSpec:
     """Coefficients, jump structure and initial law of one model.
 
     Coefficient callables must accept numpy arrays (or broadcast against
-    them). ``compensator`` is x -> intensity * E_mark[F(x, mark)]; when not
-    supplied, :func:`~meanreflect.stochastics.expect` takes it by the mark
-    law's quadrature rule: 1, 64 or 1024 evaluations of F per call for a
-    point, lognormal or quantile-function law.
+    them). ``compensator`` is x -> intensity * E_mark[F(x, mark)]; when it
+    is None, :meth:`compensate` takes that expectation by the mark law's
+    quadrature rule (:func:`~meanreflect.stochastics.expect`): 1, 64 or 1024
+    evaluations of F per call for a point, lognormal or quantile-function
+    law.
     """
 
     drift: Callable
@@ -116,11 +117,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.intensity <= 0.0:
             raise ValueError(f"intensity must be > 0, got {self.intensity}")
-        if self.compensator is None:
-            lam, law, amp = self.intensity, self.jump_size_law, self.jump_amplitude
-            object.__setattr__(
-                self, "compensator", lambda x: lam * expect(law, lambda z: amp(x, z))
-            )
+
+    def compensate(self, x):
+        """The jump compensator at x, from the spec's current fields."""
+        if self.compensator is not None:
+            return self.compensator(x)
+        amp = self.jump_amplitude
+        return self.intensity * expect(self.jump_size_law, lambda z: amp(x, z))
 
 
 def make_case_i(
@@ -266,17 +269,15 @@ def validate(
 ) -> ValidationReport:
     """Report-only check of the model and constraint invariants.
 
-    Hard violations: non-positive intensity, broken (m, M) ordering,
-    non-monotone or non-bi-Lipschitz h on sampled pairs, negative initial
-    constraint mean E[h(X0)] (by the initial law's quadrature rule, exact
-    for a point mass). Advisory warnings: finite-difference coefficient
-    slopes above ``lipschitz_bound`` (global Lipschitz continuity cannot be
-    certified numerically, so this never rejects).
+    Hard violations: broken (m, M) ordering, non-monotone or
+    non-bi-Lipschitz h on sampled pairs, negative initial constraint mean
+    E[h(X0)] (by the initial law's quadrature rule, exact for a point
+    mass); ``ModelSpec`` itself rejects a non-positive intensity. Advisory
+    warnings: finite-difference coefficient slopes above
+    ``lipschitz_bound`` (global Lipschitz continuity cannot be certified
+    numerically, so this never rejects).
     """
     report = ValidationReport()
-
-    if spec.intensity <= 0.0:
-        report.violations.append(f"intensity must be > 0, got {spec.intensity}")
 
     if constraint.kind == "sine":
         alpha = constraint.params.get("alpha", 0.0)

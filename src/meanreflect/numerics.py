@@ -1,10 +1,11 @@
 """Shared scalar root-finding helpers.
 
-Both the reflection kernel and the semi-analytic oracles need the root of a
-strictly increasing scalar function, located to an absolute tolerance on x.
-Bisection is used throughout: the functions involved are monotone by
-assumption, and machine-precision brackets keep the root error negligible
-next to the Monte Carlo error of the surrounding computation.
+Both the reflection kernel and the sine-constraint root of the case-iii
+oracle need the root of a strictly increasing scalar function, located to
+an absolute tolerance on x. Bisection is used throughout: the functions
+involved are monotone by assumption, and machine-precision brackets keep
+the root error negligible next to the Monte Carlo error of the surrounding
+computation.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Closed-form and semi-analytic reference solutions for the built-in cases.
+"""Reference solutions for the built-in cases.
 
 The coupled oracles replay the exact same counter-based noise as a scheme
 run (same Gaussian increments, same jump counts and marks), so the
@@ -15,9 +15,9 @@ Case overview:
   reconstructed from the unreflected exponential process by a left-point
   Riemann sum of 1/Y against the reflection increments.
 * case iii - mean-reverting dynamics with a sine-perturbed constraint:
-  only the reflection path is available, through the root of a
-  semi-analytic mean-constraint function whose jump factor is accurate for
-  small mean-reversion speed; its outputs are flagged approximate.
+  only the reflection path is available, through the root of the exact
+  mean-constraint function, whose jump factor is written with the sine and
+  cosine integrals.
 
 The reflection-density estimator turns a particle snapshot into the local
 growth rate of the reflection via the generator of the constraint
@@ -28,22 +28,25 @@ construction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy.special import sici
 
 from .errors import DerivativesMissing, NoiseMismatch
-from .model import Constraint, ModelSpec, make_case_i, make_case_ii, make_case_iii
-from .numerics import bisect_increasing, expand_bracket
+from .model import (
+    Constraint,
+    ModelSpec,
+    make_case_i,
+    make_case_ii,
+    make_case_iii,
+    sine_constraint_root,
+)
 from .scheme import GridSpec, simulate
 from .stochastics import NoiseRecord, expect
 
 _SQRT_E = math.sqrt(math.e)
-
-#: Above this mean-reversion speed the case-iii jump factor is dubious.
-SMALL_A_GUARD = 0.05
 
 
 @dataclass
@@ -51,15 +54,13 @@ class OraclePath:
     """Reference solution on a grid.
 
     ``x_exact`` is the coupled per-particle path when one exists (cases i
-    and ii); ``approximate`` marks outputs whose jump factor is itself an
-    approximation (case iii).
+    and ii).
     """
 
     times: np.ndarray
     k_exact: np.ndarray
     x_exact: np.ndarray | None = None
     mean_y: np.ndarray | None = None
-    approximate: bool = False
 
 
 def _require(params: Mapping[str, float], *names: str) -> list[float]:
@@ -143,87 +144,48 @@ def exact_case_ii(
     return replace(ref, x_exact=y * (1.0 + integral))
 
 
-def _case_iii_constraint_mean(
-    t: float, params: Mapping[str, float]
-) -> tuple[float, float, float, float, float, float]:
-    """Coefficients of the case-iii mean-constraint function at time t.
-
-    Returns (decay, ey, f, g, m, n) where the constraint mean as a function
-    of the accumulated (discounted) reflection x is
-
-        ey + decay*x + alpha*g*(m*cos(f + decay*x) + n*sin(f + decay*x)) - p.
-
-    g is the Gaussian smearing factor exp(-Var/2) of the stochastic
-    integral part; m and n are the real and imaginary parts of the
-    small-speed approximation of the jump characteristic function.
-    """
-    beta, a, sigma, eta, lam, x0 = _require(
-        params, "beta", "a", "sigma", "eta", "lambda", "x0"
-    )
-    decay = math.exp(-a * t)
-    growth = (math.exp(a * t) - 1.0) / a
-    ey = decay * (x0 - beta * growth)
-    f = decay * (x0 - (beta + lam * eta) * growth)
-    var = sigma**2 * (1.0 - math.exp(-2.0 * a * t)) / (2.0 * a)
-    g = math.exp(-0.5 * var)
-    shrink = math.exp(lam * t * (math.cos(eta) - 1.0))
-    phase = lam * t * math.sin(eta)
-    n = shrink * math.cos(phase)
-    m = shrink * math.sin(phase)
-    return decay, ey, f, g, m, n
-
-
 def exact_case_iii_K(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
-    """Semi-analytic reflection path for case iii.
+    """Exact reflection path for case iii.
 
-    At each grid time the root of the mean-constraint function is found by
-    bisection (the function is strictly increasing for |alpha| < 1); the
-    discounted running supremum of the positive parts is then accumulated
-    into the reflection. All outputs are flagged approximate.
+    With ``d = e^{-at} x`` the discounted push, the constraint mean at time
+    t is ``ey + d + alpha*amp*sin(theta + d) - p``: ``ey`` is the mean of
+    the unreflected state, and ``amp*e^{i theta}`` is its characteristic
+    function at 1, the OU Gaussian factor times the exact jump factor
+    ``exp(lam int_0^t (e^{i eta e^{-as}} - 1) ds)``, in closed form through
+    the sine and cosine integrals. As ``amp <= 1`` the root in ``theta + d``
+    is a sine-constraint root; the discounted running supremum of the
+    positive roots is then accumulated into the reflection.
     """
     beta, a, sigma, eta, lam, x0, p, alpha = _require(
         params, "beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"
     )
-    if a > SMALL_A_GUARD:
-        warnings.warn(
-            f"case iii reference uses a small-speed jump factor; a={a} exceeds "
-            f"{SMALL_A_GUARD} and the approximation may be poor",
-            stacklevel=2,
-        )
-    t_grid = grid.times()
-    scale = max(1.0, 2.0 * (abs(p) + abs(x0)))
-    roots = np.empty(t_grid.size)
-    mean_y = np.empty(t_grid.size)
-    for j, t in enumerate(t_grid):
-        decay, ey, f, g, m, n = _case_iii_constraint_mean(t, params)
-        mean_y[j] = ey
-
-        def fn(x: float) -> float:
-            arg = f + decay * x
-            return (
-                ey
-                + decay * x
-                + alpha * g * (m * math.cos(arg) + n * math.sin(arg))
-                - p
-            )
-
-        lo, hi = expand_bracket(fn, -scale, scale)
-        roots[j] = bisect_increasing(fn, lo, hi)
+    t = grid.times()
+    decay = np.exp(-a * t)
+    si, ci = sici(eta * decay)
+    si_eta, ci_eta = sici(eta)
+    ey = mean_y(t, x0, beta, a)
+    amp = np.exp(
+        sigma**2 * np.expm1(-2.0 * a * t) / (4.0 * a)
+        + lam * ((ci_eta - ci) / a - t)
+    )
+    theta = mean_y(t, x0, beta + lam * eta, a) + lam * (si_eta - si) / a
+    roots = np.array([
+        sine_constraint_root(alpha * g, p - e + th) - th
+        for g, e, th in zip(amp, ey, theta)
+    ]) / decay
     kbar = np.maximum.accumulate(np.maximum(0.0, roots))
     increments = np.diff(np.concatenate(([0.0], kbar)))
-    k_exact = np.cumsum(np.exp(-a * t_grid) * increments)
-    return OraclePath(
-        times=t_grid, k_exact=k_exact, x_exact=None, mean_y=mean_y, approximate=True
-    )
+    k_exact = np.cumsum(decay * increments)
+    return OraclePath(times=t, k_exact=k_exact, mean_y=ey)
 
 
 def mean_y(t, x0: float, beta: float, a: float):
     """Mean of the unreflected state for mean-reverting dynamics (a != 0):
-    exp(-a t) * (x0 - beta*(exp(a t) - 1)/a)."""
+    exp(-a t) * x0 - beta*(1 - exp(-a t))/a."""
     if a == 0.0:
         raise ValueError("mean_y requires a != 0; use x0 - beta*t directly")
     t = np.asarray(t, dtype=np.float64)
-    out = np.exp(-a * t) * (x0 - beta * (np.exp(a * t) - 1.0) / a)
+    out = np.exp(-a * t) * x0 + beta * np.expm1(-a * t) / a
     return float(out) if out.ndim == 0 else out
 
 

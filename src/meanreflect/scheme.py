@@ -141,7 +141,7 @@ class ParticleSystem:
                     mask = counts > j
                     marks = noise.marks(step, idx[mask], j)
                     jump[mask] += model.jump_amplitude(x[mask], marks)
-            drift_part = model.drift(x) - model.compensator(x)
+            drift_part = model.drift(x) - model.compensate(x)
             out[lo:hi] = dt * drift_part + sqrt_dt * (model.diffusion(x) * g) + jump
 
         run_chunked(work, self.n_particles, self.threads)

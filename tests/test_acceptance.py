@@ -268,12 +268,11 @@ def test_criterion_8_case_iii_semi_analytic_match(fig5_run):
     rel_sup = float(np.max(np.abs(traj.k_hat - k_ref)) / max(k_ref.max(), 1e-12))
     ok = nonneg and nondecr and rel_sup <= 0.15
     report(
-        "criterion 8 (case iii semi-analytic reflection)",
+        "criterion 8 (case iii reference reflection)",
         ok,
         f"reference nonnegative: {nonneg}, nondecreasing: {nondecr}; "
-        f"relative sup gap {rel_sup:.4f} (tol 0.15, widened: the reference "
-        f"itself is approximate); K(15) ref {k_ref[-1]:.4f} vs scheme "
-        f"{traj.k_hat[-1]:.4f}; run {elapsed:.0f}s",
+        f"relative sup gap {rel_sup:.4f} (tol 0.15); K(15) ref "
+        f"{k_ref[-1]:.4f} vs scheme {traj.k_hat[-1]:.4f}; run {elapsed:.0f}s",
     )
 
 

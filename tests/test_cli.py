@@ -1,6 +1,7 @@
 """Config parsing, subcommand dispatch, deterministic output files."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,19 @@ class TestOracleCommand:
         assert lines[0] == "t,K_exact,meanY"
         k = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.all(np.diff(k) >= -1e-12)
+
+    def test_case_iii_fast_reversion_is_exact(self, tmp_path, config_dir, capsys):
+        # the reference carries no small-speed caveat, even at a = 0.2
+        doc = json.loads((config_dir / "fig5.json").read_text())
+        doc["model"]["a"] = 0.2
+        doc["grid"]["n"] = 30
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("oracle: K_exact(T) = ")
+        assert "approximate" not in captured.out + captured.err
 
 
 class TestConvergenceCommand:

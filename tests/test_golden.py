@@ -50,11 +50,11 @@ GOLDEN = {
     "oracle-ii": ("oracle", _doc(FIG3, 1.0, 20, 200), "oracle.csv",
                   "bc5cf3fe0927b17083229138ed628040bb8eb92d7f915771ba25d3c9661c06f6"),
     "oracle-iii": ("oracle", _doc(FIG5, 15.0, 30, 200), "oracle.csv",
-                   "803a2094738c13cec159819a96ab999bbe986181d6cd86fc3c7c2f1bf2287f52"),
+                   "9aeb2112bb895366e184b69e5f12132938c4c866fa4f95ca071612520669e0d8"),
     "density-i": ("density", _doc(FIG1, 1.0, 20, 500), "density.csv",
                   "470faf994087f5f0d8e9f5f677fb646a4d85f78d4e20503db3bc116df61d276f"),
     "density-iii": ("density", _doc(FIG5, 15.0, 30, 500), "density.csv",
-                    "4de51d538d8014ab95f2bcf1103ed9a60e7cbaeca408ce69ae7c4d7120a171d3"),
+                    "b6e0895e2d1eaeb52ace4915997c65c76b1a591b862cc2f9d351d0ee408ddade"),
     "convergence-fig2": (
         "convergence",
         _doc(FIG1, 1.0, 10, 100, replications=3, sweep={"N": [50, 100]}),

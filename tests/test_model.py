@@ -1,5 +1,6 @@
 """Built-in model factories, constraints, and the validation report."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,9 +229,25 @@ class TestMonteCarloAgainstAnalytic:
             jump_size_law=LogNormal(),
             initial_law=DiracPoint(1.0),
         )
-        assert spec.compensator(0.0) == pytest.approx(5.0 * SQRT_E, rel=1e-13)
-        out = spec.compensator(np.array([0.0, 1.0]))
+        assert spec.compensator is None
+        assert spec.compensate(0.0) == pytest.approx(5.0 * SQRT_E, rel=1e-13)
+        out = spec.compensate(np.array([0.0, 1.0]))
         assert out == pytest.approx([5.0 * SQRT_E, 10.0 * SQRT_E], rel=1e-13)
+
+    def test_default_compensator_follows_replace(self):
+        spec = ModelSpec(
+            drift=lambda x: 0.0,
+            diffusion=lambda x: 1.0,
+            jump_amplitude=lambda x, z: z,
+            intensity=2.0,
+            jump_size_law=LogNormal(),
+            initial_law=DiracPoint(1.0),
+        )
+        assert spec.compensate(0.0) == pytest.approx(2.0 * SQRT_E, rel=1e-13)
+        dirac = dataclasses.replace(spec, jump_size_law=DiracPoint(1.0))
+        assert dirac.compensate(0.0) == 2.0
+        busier = dataclasses.replace(spec, intensity=5.0)
+        assert busier.compensate(0.0) == pytest.approx(5.0 * SQRT_E, rel=1e-13)
 
 
 def test_constraint_monotonicity_invariant():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import bisect
 
 from meanreflect.errors import DerivativesMissing, NoiseMismatch
 from meanreflect.model import (
@@ -16,7 +17,6 @@ from meanreflect.model import (
     sine_constraint,
 )
 from meanreflect.oracle import (
-    _case_iii_constraint_mean,
     _jump_generator_term,
     density_k,
     density_series,
@@ -145,7 +145,6 @@ class TestCaseIII:
         grid = GridSpec(15.0, 300)
         path = exact_case_iii_K(FIG5, grid)
         assert path.k_exact[0] == 0.0
-        assert path.approximate
         assert np.all(np.diff(path.k_exact) >= -1e-12)
 
     def test_alpha_zero_reduces_to_linear_form(self):
@@ -161,29 +160,65 @@ class TestCaseIII:
         assert np.max(np.abs(path.k_exact - want)) < 1e-9
 
     def test_deterministic_case_against_dense_scan(self):
-        # vanishing noise: the constraint mean is an explicit deterministic
-        # function, so dense-grid scanning gives an independent root oracle
+        # vanishing noise: the constraint mean is the explicit deterministic
+        # function ey + decay*x + alpha*sin(ey + decay*x) - p, so dense-grid
+        # scanning gives an independent root oracle
         params = dict(FIG5, **{"lambda": 1e-300, "sigma": 1e-300, "x0": 1.2})
+        a, beta = params["a"], params["beta"]
         grid = GridSpec(10.0, 16)
         path = exact_case_iii_K(params, grid)
         scan_roots = []
         for t in grid.times():
-            decay, ey, f, g, m, n = _case_iii_constraint_mean(t, params)
-            assert g == pytest.approx(1.0, abs=1e-12)
-            assert m == pytest.approx(0.0, abs=1e-12)
+            decay = math.exp(-a * t)
+            ey = decay * params["x0"] - beta * (1.0 - decay) / a
             xs = np.linspace(-30.0, 30.0, 2_000_001)
-            vals = ey + decay * xs + 0.9 * g * n * np.sin(f + decay * xs) - params["p"]
+            vals = ey + decay * xs + 0.9 * np.sin(ey + decay * xs) - params["p"]
             assert np.all(np.diff(vals) > 0.0)
             scan_roots.append(np.interp(0.0, vals, xs))
         kbar = np.maximum.accumulate(np.maximum(0.0, scan_roots))
         incr = np.diff(np.concatenate(([0.0], kbar)))
-        want = np.cumsum(np.exp(-params["a"] * grid.times()) * incr)
+        want = np.cumsum(np.exp(-a * grid.times()) * incr)
         assert np.max(np.abs(path.k_exact - want)) < 1e-6
 
-    def test_large_speed_warns(self):
-        params = dict(FIG5, a=0.2)
-        with pytest.warns(UserWarning, match="small-speed"):
-            exact_case_iii_K(params, GridSpec(1.0, 4))
+    @pytest.mark.parametrize("eta, lam", [(0.1, 1.0), (1.0, 3.0)])
+    @pytest.mark.parametrize("a", [1e-6, 1e-4, 1e-2, 0.2, 1.0])
+    def test_matches_quadrature_reference(self, a, eta, lam):
+        # the unreflected state is x0 e^{-at} - (beta + lam eta) int e^{-au} du
+        # plus a Gaussian and eta int e^{-a(t-s)} dN_s; every time integral
+        # of E[sin(Y_t + d)] is taken by adaptive quadrature and the root of
+        # the constraint mean in the discounted push d by bisection
+        params = dict(FIG5, a=a, eta=eta, **{"lambda": lam})
+        beta, sigma, x0, p, alpha = (
+            params[k] for k in ("beta", "sigma", "x0", "p", "alpha")
+        )
+        grid = GridSpec(15.0, 60)
+
+        def integral(fn, t):
+            return quad(fn, 0.0, t, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+        roots = []
+        for t in grid.times():
+            drift = integral(lambda u: math.exp(-a * u), t)
+            var = sigma**2 * integral(lambda u: math.exp(-2.0 * a * u), t)
+            jump_re = integral(lambda u: math.cos(eta * math.exp(-a * u)) - 1.0, t)
+            jump_im = integral(lambda u: math.sin(eta * math.exp(-a * u)), t)
+            ey = x0 * math.exp(-a * t) - beta * drift
+            centre = x0 * math.exp(-a * t) - (beta + lam * eta) * drift
+            amp = math.exp(-0.5 * var + lam * jump_re)
+
+            def fn(d):
+                return ey + d + alpha * amp * math.sin(centre + d + lam * jump_im) - p
+
+            d = bisect(fn, p - ey - 2.0, p - ey + 2.0, xtol=1e-300, rtol=1e-15,
+                       maxiter=2000)
+            roots.append(d * math.exp(a * t))
+        kbar = np.maximum.accumulate(np.maximum(0.0, roots))
+        incr = np.diff(np.concatenate(([0.0], kbar)))
+        want = np.cumsum(np.exp(-a * grid.times()) * incr)
+        assert want[-1] > 0.1
+        got = exact_case_iii_K(params, grid).k_exact
+        bound = 1e-8 if a < 1e-4 else 1e-10
+        assert np.max(np.abs(got - want)) / np.max(want) < bound
 
 
 class TestMeanY:
@@ -193,6 +228,11 @@ class TestMeanY:
     def test_zero_drift(self):
         t = np.linspace(0.0, 2.0, 9)
         assert np.allclose(mean_y(t, x0=2.0, beta=0.0, a=0.7), 2.0 * np.exp(-0.7 * t))
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-9, 1e-13])
+    def test_small_speed_keeps_its_digits(self, a):
+        want = -math.exp(-a) * math.expm1(a) / a
+        assert mean_y(1.0, x0=0.0, beta=1.0, a=a) == pytest.approx(want, rel=1e-15)
 
     def test_requires_mean_reversion(self):
         with pytest.raises(ValueError):
