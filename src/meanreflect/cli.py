@@ -166,14 +166,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = parse_config(args.config)
-    case = args.case or config.case
-    if case != config.case:
-        raise ValidationError(
-            f"--case {case} does not match config case {config.case!r}"
-        )
-    spec = oracle.CASES.get(case)
+    spec = oracle.CASES.get(config.case)
     if spec is None:
-        raise ValidationError(f"no reference solution for case {case!r}")
+        raise ValidationError(f"no reference solution for case {config.case!r}")
     n_particles = config.single_particle_count()
     if not 0 <= args.particle < n_particles:
         raise ValidationError(
@@ -313,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_orc = sub.add_parser("oracle", help="reference-solution paths")
     add_common(p_orc)
-    p_orc.add_argument("--case", choices=tuple(oracle.CASES), default=None)
     p_orc.add_argument(
         "--particle", type=int, default=0,
         help="particle index for the coupled exact path",

@@ -26,7 +26,7 @@ from . import model as model_mod
 from . import oracle as oracle_mod
 from .errors import DegenerateAbscissae, ValidationError
 from .model import Constraint, ModelSpec
-from .parallel import map_ordered, worker_count
+from .parallel import map_ordered
 from .scheme import GridSpec, TrajectoryRecord, simulate
 from .stochastics import DiracPoint, LogNormal, derive_seed
 
@@ -319,13 +319,9 @@ def l2_error(
     case = oracle_mod.CASES.get(config.case)
     if case is None or case.coupled is None:
         raise ValidationError(f"no exact coupled path for case {config.case!r}")
-    threads = worker_count() if threads is None else threads
     model, constraint = build_model(config)
     grid = GridSpec(config.horizon, config.grid_steps[0] if n is None else n)
     n_particles = config.particles[0] if n_particles is None else n_particles
-    L = config.replications
-    outer = max(1, min(threads, L))
-    inner = max(1, threads // outer)
 
     def coupled_error(seed: int) -> float:
         x_scheme = np.empty(grid.steps + 1)
@@ -334,14 +330,15 @@ def l2_error(
             x_scheme[k] = X[0]
 
         traj = simulate(
-            model, constraint, grid, n_particles, seed, observe=observe, threads=inner
+            model, constraint, grid, n_particles, seed, observe=observe, threads=threads
         )
         path = case.coupled(traj.noise, model.params, grid, particle=0)
         diff = path.x_exact - x_scheme
         return float(np.max(diff * diff))
 
+    L = config.replications
     seeds = [derive_seed(config.seed, l, _REPLICATION_PURPOSE) for l in range(L)]
-    return float(np.mean(map_ordered(coupled_error, seeds, threads=outer)))
+    return float(np.mean(map_ordered(coupled_error, seeds)))
 
 
 def loglog_fit(points: Sequence[tuple[float, float]]) -> RegressionResult:

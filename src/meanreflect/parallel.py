@@ -1,15 +1,21 @@
-"""Worker-count resolution and deterministic thread helpers.
+"""Worker-count resolution and the engine's one parallel path.
 
 Parallelism never changes results: particle work is chunked over disjoint
 index ranges whose values depend only on (seed, particle, step), and
 reductions are always performed by a single numpy call over the full array.
+Only :func:`run_chunked` runs work on threads, on one long-lived pool per
+worker count. Replications run in order on the calling thread through
+:func:`map_ordered`, the per-replication seam the benchmark tracer wraps.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
+
+from .errors import ValidationError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -21,17 +27,17 @@ MIN_CHUNK_ITEMS = 16384
 def worker_count() -> int:
     """Worker cap from ``MEANREFLECT_THREADS``, defaulting to the host CPU count."""
     raw = os.environ.get("MEANREFLECT_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"MEANREFLECT_THREADS must be a positive integer, got {raw!r}"
-            ) from exc
-        if n < 1:
-            raise ValueError(f"MEANREFLECT_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValidationError(
+            f"MEANREFLECT_THREADS must be a positive integer, got {raw!r}"
+        )
+    return n
 
 
 def chunk_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -41,31 +47,39 @@ def chunk_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n_items)) for lo in range(0, n_items, step)]
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+# A forked child inherits the cached pools but none of their threads.
+os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def run_chunked(
     work: Callable[[int, int], None], n_items: int, threads: int | None = None
 ) -> None:
     """Run ``work(lo, hi)`` over disjoint chunks of ``range(n_items)``.
 
-    ``work`` must write only to slice ``[lo:hi]`` of its outputs, so the
-    result is independent of scheduling.
+    ``threads`` defaults to :func:`worker_count`. ``work`` must write only
+    to slice ``[lo:hi]`` of its outputs, so the result is independent of
+    scheduling.
     """
     threads = worker_count() if threads is None else threads
     if threads <= 1 or n_items < MIN_CHUNK_ITEMS:
         work(0, n_items)
         return
-    ranges = chunk_ranges(n_items, threads)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in ranges]
-        for fut in futures:
-            fut.result()
+    pool = _pool(threads)
+    futures = [pool.submit(work, lo, hi) for lo, hi in chunk_ranges(n_items, threads)]
+    wait(futures)  # no chunk may still be writing when an error propagates
+    for fut in futures:
+        fut.result()
 
 
-def map_ordered(
-    fn: Callable[[T], R], items: Sequence[T], threads: int | None = None
-) -> list[R]:
-    """Apply ``fn`` to each item, preserving input order in the results."""
-    threads = worker_count() if threads is None else threads
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
+def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Apply ``fn`` to each item in order on the calling thread.
+
+    This is the per-replication seam the benchmark tracer wraps; the
+    particle work inside each call is what runs on threads.
+    """
+    return [fn(item) for item in items]

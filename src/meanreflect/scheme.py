@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonFiniteState
 from .model import Constraint, ModelSpec
-from .parallel import run_chunked, worker_count
+from .parallel import run_chunked
 from .reflection import MeanEvaluator, ReflectionTracker
 from .stochastics import DiracPoint, NoiseRecord
 
@@ -101,7 +101,7 @@ class ParticleSystem:
         self.grid = grid
         self.n_particles = n_particles
         self.seed = int(seed)
-        self.threads = worker_count() if threads is None else threads
+        self.threads = threads
         self.noise = noise_record(model, grid, n_particles, self.seed)
         if isinstance(model.initial_law, DiracPoint):
             self.U = np.full(n_particles, float(model.initial_law.value))

@@ -185,20 +185,13 @@ class TestOracleCommand:
         cfg = write_config(tmp_path, MINIMAL)
         out = tmp_path / "oracle"
         assert main([
-            "oracle", "--case", "i", "--config", cfg, "--seed", "7",
+            "oracle", "--config", cfg, "--seed", "7",
             "--out", str(out),
         ]) == 0
         lines = (out / "oracle.csv").read_text().splitlines()
         assert lines[0] == "t,K_exact,meanY,X_exact"
         last = [float(v) for v in lines[-1].split(",")]
         assert last[1] == 1.5
-
-    def test_case_mismatch_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, MINIMAL)
-        code = main([
-            "oracle", "--case", "ii", "--config", cfg, "--out", str(tmp_path / "o"),
-        ])
-        assert code == 1
 
     @pytest.mark.parametrize("particle", [-1, 10])
     def test_particle_out_of_range_rejected(
@@ -334,6 +327,17 @@ def test_out_of_range_size_or_seed_exits_one(tmp_path, capsys, steps, seed):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "two"])
+def test_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("MEANREFLECT_THREADS", threads)
+    cfg = write_config(tmp_path, MINIMAL)
+    assert main(["simulate", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MEANREFLECT_THREADS must be a positive integer")
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_two():

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -317,6 +318,23 @@ class TestL2Error:
         small = l2_error(fig1_config(particles=(100,)))
         large = l2_error(fig1_config(particles=(1600,)))
         assert large < small
+
+    def test_replications_run_on_calling_thread(self, monkeypatch):
+        callers = []
+
+        def recording_simulate(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate", recording_simulate)
+        l2_error(fig1_config(replications=4, grid_steps=(5,), particles=(50,)),
+                 threads=2)
+        assert callers == [threading.get_ident()] * 4
+
+    def test_chunked_replications_thread_count_invariant(self):
+        # N above MIN_CHUNK_ITEMS, so every step of every replication is chunked
+        cfg = fig1_config(replications=3, grid_steps=(5,), particles=(20_000,))
+        assert l2_error(cfg, threads=1) == l2_error(cfg, threads=2)
 
     def test_replication_batch_variance_scaling(self):
         cells = {}
