@@ -78,15 +78,11 @@ from .stochastics import (
     DiracPoint,
     LogNormal,
     NoiseRecord,
-    StreamKey,
     derive_seed,
     expect,
-    gaussian,
     gaussians,
     jump_sizes,
-    poisson_count,
     poisson_counts,
-    uniform,
     uniforms,
 )
 

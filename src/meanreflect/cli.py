@@ -105,6 +105,7 @@ def _write_manifest(
         "config": config.to_json_dict(),
         "outputs": outputs,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -112,15 +113,16 @@ def _write_manifest(
 
 def _dump_noise(noise: NoiseRecord, path: Path) -> None:
     """Debug trace of every draw; intended for small runs."""
-    steps = range(1, noise.n_steps + 1)
+    particles = np.arange(noise.n_particles)
+    steps = np.arange(1, noise.n_steps + 1)[:, None]
+    gaussians = noise.gaussians(particles, steps)
+    counts = noise.counts(particles, steps)
+    marks = {
+        (k, i): noise.marks(i, k + 1, np.arange(counts[k, i]))
+        for k, i in zip(*np.nonzero(counts))
+    }
     if path.suffix == ".npz":
-        gaussians = np.stack([noise.gaussians(k) for k in steps])
-        counts = np.stack([noise.counts(k) for k in steps])
-        values: list[float] = []
-        for k in steps:
-            row = counts[k - 1]
-            for i in np.nonzero(row)[0]:
-                values.extend(noise.particle_marks(int(i), k, int(row[i])))
+        values = [v for m in marks.values() for v in m]
         np.savez(
             path, gaussians=gaussians, counts=counts,
             jump_values=np.asarray(values),
@@ -128,22 +130,15 @@ def _dump_noise(noise: NoiseRecord, path: Path) -> None:
         return
     with open(path, "w", newline="") as handle:
         handle.write("step,particle,gaussian,count,sizes\n")
-        for k in steps:
-            g = noise.gaussians(k)
-            c = noise.counts(k)
-            for i in range(noise.n_particles):
-                sizes = ""
-                if c[i]:
-                    marks = noise.particle_marks(i, k, int(c[i]))
-                    sizes = ";".join(_fmt(v) for v in marks)
-                handle.write(f"{k},{i},{_fmt(g[i])},{int(c[i])},{sizes}\n")
+        for (k, i), g in np.ndenumerate(gaussians):
+            sizes = ";".join(_fmt(v) for v in marks.get((k, i), ()))
+            handle.write(f"{k + 1},{i},{_fmt(g)},{int(counts[k, i])},{sizes}\n")
 
 
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
     seed = _resolve_seed(args, config, required=False)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = ["path.csv"] + (["noise trace"] if args.dump_noise else [])
     _write_manifest(out_dir, "simulate", config, seed, outputs)
     model, constraint = build_model(config)
@@ -176,7 +171,6 @@ def _cmd_oracle(args) -> int:
         )
     seed = _resolve_seed(args, config, required=False) if spec.coupled else 0
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "oracle", config, seed, ["oracle.csv"])
     model, _ = build_model(config)
     grid = config.single_grid()
@@ -202,7 +196,6 @@ def _cmd_convergence(args) -> int:
     seed = _resolve_seed(args, config, required=True)
     config = dataclasses.replace(config, seed=seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(
         out_dir, "convergence", config, seed,
         ["convergence.csv", "regression.json", "timings.json"],
@@ -256,7 +249,6 @@ def _cmd_density(args) -> int:
         )
     seed = _resolve_seed(args, config, required=False)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "density", config, seed, ["density.csv"])
     model, constraint = build_model(config)
     grid = config.single_grid()

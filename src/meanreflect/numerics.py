@@ -27,7 +27,6 @@ def bisect_increasing(
     lo: float,
     hi: float,
     tol_x: float = DEFAULT_TOL_X,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Root of an increasing function ``f`` on a bracketing interval.
 
@@ -49,7 +48,7 @@ def bisect_increasing(
         return lo
     if fhi == 0.0:
         return hi
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol_x or mid == lo or mid == hi:
             return mid
@@ -61,7 +60,7 @@ def bisect_increasing(
         else:
             return mid
     raise NoConvergence(
-        f"bisection did not reach tol_x={tol_x} in {max_iter} iterations"
+        f"bisection did not reach tol_x={tol_x} in {DEFAULT_MAX_ITER} iterations"
     )
 
 
@@ -69,19 +68,18 @@ def expand_bracket(
     f: Callable[[float], float],
     lo: float = -1.0,
     hi: float = 1.0,
-    max_doublings: int = 64,
 ) -> tuple[float, float]:
     """Grow ``[lo, hi]`` geometrically until ``f`` changes sign on it.
 
     Used when no Lipschitz bounds are available to place the bracket
     directly. Raises :class:`RootBracketFailure` if no sign change is found
-    before the doubling cap.
+    within 64 doublings.
     """
     flo = f(lo)
     fhi = f(hi)
     if not (math.isfinite(flo) and math.isfinite(fhi)):
         raise NonFiniteBracket(f"f non-finite on initial bracket [{lo}, {hi}]")
-    for _ in range(max_doublings):
+    for _ in range(64):  # grows a unit bracket past 1e19
         if flo <= 0.0 <= fhi:
             return lo, hi
         if flo > 0.0:
@@ -91,5 +89,5 @@ def expand_bracket(
             hi *= 2.0
             fhi = f(hi)
     raise RootBracketFailure(
-        f"no sign change within [{lo}, {hi}] after {max_doublings} doublings"
+        f"no sign change within [{lo}, {hi}] after 64 doublings"
     )

@@ -70,20 +70,19 @@ def _require(params: Mapping[str, float], *names: str) -> list[float]:
     return [float(params[n]) for n in names]
 
 
-def _check_noise(noise: NoiseRecord, grid: GridSpec, particle: int) -> None:
+def _check_noise(noise: NoiseRecord, grid: GridSpec) -> np.ndarray:
+    """Steps 1..n of ``grid``; raises NoiseMismatch unless ``noise`` has n steps."""
     if noise.n_steps != grid.steps:
         raise NoiseMismatch(
             f"noise record has {noise.n_steps} steps, grid has {grid.steps}"
         )
-    if not 0 <= particle < noise.n_particles:
-        raise NoiseMismatch(
-            f"particle {particle} outside record of {noise.n_particles}"
-        )
+    return np.arange(1, grid.steps + 1)
 
 
-def _brownian_path(noise: NoiseRecord, grid: GridSpec, particle: int) -> np.ndarray:
-    sqrt_dt = math.sqrt(grid.dt)
-    increments = sqrt_dt * noise.particle_gaussians(particle)
+def _brownian_path(
+    noise: NoiseRecord, grid: GridSpec, particle: int, steps: np.ndarray
+) -> np.ndarray:
+    increments = math.sqrt(grid.dt) * noise.gaussians(particle, steps)
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
@@ -105,13 +104,15 @@ def exact_case_i(
 ) -> OraclePath:
     """Exact coupled path for case i on the grid."""
     beta, sigma, eta, lam, x0 = _require(params, "beta", "sigma", "eta", "lambda", "x0")
-    _check_noise(noise, grid, particle)
+    steps = _check_noise(noise, grid)
     ref = _reference_case_i(params, grid)
     t = ref.times
-    b_path = _brownian_path(noise, grid, particle)
-    jump_path = np.concatenate(
-        ([0.0], np.cumsum(eta * noise.particle_mark_sums(particle)))
-    )
+    b_path = _brownian_path(noise, grid, particle, steps)
+    counts = noise.counts(particle, steps)
+    mark_sums = np.zeros(grid.steps)
+    for k in np.nonzero(counts)[0]:
+        mark_sums[k] = noise.marks(particle, steps[k], np.arange(counts[k])).sum()
+    jump_path = np.concatenate(([0.0], np.cumsum(eta * mark_sums)))
     x_exact = (
         x0 - (beta + lam * eta * _SQRT_E) * t + sigma * b_path + jump_path + ref.k_exact
     )
@@ -128,12 +129,12 @@ def exact_case_ii(
     is first-order consistent like the scheme itself.
     """
     a, gamma, theta, lam, x0 = _require(params, "a", "gamma", "theta", "lambda", "x0")
-    _check_noise(noise, grid, particle)
+    steps = _check_noise(noise, grid)
     ref = _reference_case_ii(params, grid)
     t = ref.times
-    b_path = _brownian_path(noise, grid, particle)
+    b_path = _brownian_path(noise, grid, particle, steps)
     n_path = np.concatenate(
-        ([0], np.cumsum(noise.particle_counts(particle)))
+        ([0], np.cumsum(noise.counts(particle, steps)))
     ).astype(np.float64)
     y = (
         x0
@@ -305,7 +306,6 @@ def density_series(
     n_particles: int,
     seed: int,
     threads: int | None = None,
-    epsilon_active: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reflection-density estimates along a scheme run.
 
@@ -318,7 +318,7 @@ def density_series(
 
     def observe(k: int, X: np.ndarray) -> None:
         if k < grid.steps:
-            khat[k] = density_k(X, model, constraint, epsilon_active)
+            khat[k] = density_k(X, model, constraint)
 
     simulate(model, constraint, grid, n_particles, seed, observe=observe, threads=threads)
     return grid.times()[:-1], khat

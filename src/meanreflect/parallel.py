@@ -23,12 +23,16 @@ R = TypeVar("R")
 #: Below this many items, chunked threading costs more than it saves.
 MIN_CHUNK_ITEMS = 16384
 
+#: The host CPU count, read once: it is the costlier half of every
+#: :func:`worker_count` call.
+_CPU_COUNT = os.cpu_count() or 1
+
 
 def worker_count() -> int:
     """Worker cap from ``MEANREFLECT_THREADS``, defaulting to the host CPU count."""
     raw = os.environ.get("MEANREFLECT_THREADS", "").strip()
     if not raw:
-        return os.cpu_count() or 1
+        return _CPU_COUNT
     try:
         n = int(raw)
     except ValueError:

@@ -106,7 +106,7 @@ class ParticleSystem:
         if isinstance(model.initial_law, DiracPoint):
             self.U = np.full(n_particles, float(model.initial_law.value))
         else:  # every law's draws are float64; np.array copies them
-            u = self.noise.initial_uniforms()
+            u = self.noise.initial_uniforms(np.arange(n_particles))
             self.U = np.array(model.initial_law.from_uniform(u))
         self.tracker = ReflectionTracker()
         self.k = 0
@@ -132,14 +132,14 @@ class ParticleSystem:
 
         def work(lo: int, hi: int) -> None:
             x = x_prev[lo:hi]
-            g = noise.gaussians(step, lo, hi)
-            counts = noise.counts(step, lo, hi)
+            idx = np.arange(lo, hi)
+            g = noise.gaussians(idx, step)
+            counts = noise.counts(idx, step)
             jump = np.zeros(hi - lo)
             if counts.any():
-                idx = np.arange(lo, hi)
                 for j in range(int(counts.max())):
                     mask = counts > j
-                    marks = noise.marks(step, idx[mask], j)
+                    marks = noise.marks(idx[mask], step, j)
                     jump[mask] += model.jump_amplitude(x[mask], marks)
             drift_part = model.drift(x) - model.compensate(x)
             out[lo:hi] = dt * drift_part + sqrt_dt * (model.diffusion(x) * g) + jump

@@ -1,13 +1,18 @@
 """Reproducible random-variate generation with counter-based substreams.
 
-Every draw is a pure function of a :class:`StreamKey` ``(seed, particle,
-step, channel, sub)``. The key is hashed through Philox4x32-10, a
-counter-based generator designed for exactly this access pattern, so
+Every draw is a pure function of its key ``(seed, particle, step, channel,
+sub)``. The key is hashed through Philox4x32-10, a counter-based generator
+designed for exactly this access pattern, so
 
 * the same key always yields the same draw,
 * distinct keys yield statistically independent draws, and
 * any subset of draws can be regenerated in any order, by any number of
   workers, with bit-identical results.
+
+The draw functions take the particle, step and sub indices as arrays that
+broadcast like numpy operands, one draw per broadcast element; scalars are
+the one-element case. :class:`NoiseRecord` is the checked view of one
+run's share of the key space.
 
 Variates are produced by inverse transform from a single uniform per key:
 Gaussians through the normal quantile, Poisson counts through CDF
@@ -53,17 +58,6 @@ class Channel(IntEnum):
     JUMP_SIZE = 2
     INITIAL = 3
     DERIVE = 4
-
-
-@dataclass(frozen=True)
-class StreamKey:
-    """Address of a single draw in the noise space."""
-
-    seed: int
-    particle: int
-    step: int
-    channel: Channel = Channel.GAUSSIAN
-    sub: int = 0
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
@@ -120,19 +114,9 @@ def uniforms(seed: int, particle, step, channel: Channel, sub=0) -> np.ndarray:
     return (hi * 67108864.0 + lo + 0.5) * (1.0 / 9007199254740992.0)
 
 
-def uniform(key: StreamKey) -> float:
-    """Scalar uniform for one key."""
-    return float(uniforms(key.seed, key.particle, key.step, key.channel, key.sub))
-
-
 def gaussians(seed: int, particle, step) -> np.ndarray:
     """Standard normal draws on the gaussian channel."""
     return ndtri(uniforms(seed, particle, step, Channel.GAUSSIAN))
-
-
-def gaussian(key: StreamKey) -> float:
-    """Standard normal draw for one key, deterministic in the key."""
-    return float(ndtri(uniform(key)))
 
 
 def _poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
@@ -163,13 +147,6 @@ def poisson_counts(seed: int, particle, step, rate_times_dt: float) -> np.ndarra
         return _poisson_inversion(u, rate_times_dt)
     from scipy import stats  # slow to import; no shipped config gets here
     return stats.poisson.ppf(u, rate_times_dt).astype(np.int64)
-
-
-def poisson_count(key: StreamKey, rate_times_dt: float) -> int:
-    """Scalar Poisson draw for one key."""
-    return int(
-        poisson_counts(key.seed, key.particle, key.step, rate_times_dt)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +239,10 @@ def expect(law: Law, fn: Callable):
     return sum(w * fn(z) for z, w in zip(*law.quadrature()))
 
 
-def jump_sizes(key: StreamKey, count: int, law: Law) -> np.ndarray:
-    """``count`` i.i.d. marks for one (particle, step), one sub-key each."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.empty(0)
-    u = uniforms(
-        key.seed, key.particle, key.step, Channel.JUMP_SIZE, np.arange(count)
-    )
-    return law.from_uniform(u)
+def jump_sizes(seed: int, particle, step, sub, law: Law) -> np.ndarray:
+    """Jump marks drawn from ``law`` on the mark channel, ``sub`` numbering
+    the marks of one (particle, step)."""
+    return law.from_uniform(uniforms(seed, particle, step, Channel.JUMP_SIZE, sub))
 
 
 def derive_seed(seed: int, index: int, purpose: int = 0) -> int:
@@ -287,13 +258,17 @@ def derive_seed(seed: int, index: int, purpose: int = 0) -> int:
 
 @dataclass(frozen=True)
 class NoiseRecord:
-    """Lazy view of every draw a scheme run consumes.
+    """Checked view of every draw a scheme run consumes.
 
     Nothing is stored: draws are regenerated on demand from the key space,
     which is what lets the exact-solution oracles consume the very same
     noise as the particle scheme without materializing n x N arrays.
-    Steps are numbered 1..n_steps; step 0 holds the initial-condition
-    channel.
+    Particles are numbered 0..n_particles-1 and steps 1..n_steps; the
+    initial condition has its own channel. Each method broadcasts its index
+    arrays like numpy operands and raises :class:`NoiseMismatch` for any
+    index outside the record, so ``gaussians(np.arange(N), k)`` is step k
+    of the scheme and ``gaussians(i, np.arange(1, n + 1))`` is the path of
+    particle i, bit for bit the same draws.
     """
 
     seed: int
@@ -302,66 +277,33 @@ class NoiseRecord:
     jump_mean: float  # intensity * dt
     jump_law: Law
 
-    def _check_step(self, step: int) -> None:
-        if not 1 <= step <= self.n_steps:
-            raise NoiseMismatch(
-                f"step {step} outside 1..{self.n_steps} of this record"
-            )
+    def _check(self, particles, steps=None) -> None:
+        bounds = [("particle", particles, 0, self.n_particles - 1)]
+        if steps is not None:
+            bounds.append(("step", steps, 1, self.n_steps))
+        for name, index, lo, hi in bounds:
+            index = np.asarray(index)
+            if index.size and not lo <= index.min() <= index.max() <= hi:
+                bad = index[(index < lo) | (index > hi)].flat[0]
+                raise NoiseMismatch(f"{name} {bad} outside {lo}..{hi} of this record")
 
-    def _check_particle(self, particle: int) -> None:
-        if not 0 <= particle < self.n_particles:
-            raise NoiseMismatch(
-                f"particle {particle} outside 0..{self.n_particles - 1}"
-            )
+    def gaussians(self, particles, steps) -> np.ndarray:
+        """Standard normal Brownian draws."""
+        self._check(particles, steps)
+        return gaussians(self.seed, particles, steps)
 
-    def gaussians(self, step: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        self._check_step(step)
-        hi = self.n_particles if hi is None else hi
-        return gaussians(self.seed, np.arange(lo, hi), step)
+    def counts(self, particles, steps) -> np.ndarray:
+        """Poisson jump counts with mean ``jump_mean``."""
+        self._check(particles, steps)
+        return poisson_counts(self.seed, particles, steps, self.jump_mean)
 
-    def counts(self, step: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        self._check_step(step)
-        hi = self.n_particles if hi is None else hi
-        return poisson_counts(self.seed, np.arange(lo, hi), step, self.jump_mean)
+    def marks(self, particles, steps, sub) -> np.ndarray:
+        """The ``sub``-th jump marks, drawn from ``jump_law``."""
+        self._check(particles, steps)
+        u = uniforms(self.seed, particles, steps, Channel.JUMP_SIZE, sub)
+        return self.jump_law.from_uniform(u)
 
-    def mark_uniforms(self, step: int, particles: np.ndarray, sub: int) -> np.ndarray:
-        """Uniforms feeding the ``sub``-th jump mark of the given particles."""
-        self._check_step(step)
-        return uniforms(self.seed, particles, step, Channel.JUMP_SIZE, sub)
-
-    def marks(self, step: int, particles: np.ndarray, sub: int) -> np.ndarray:
-        return self.jump_law.from_uniform(self.mark_uniforms(step, particles, sub))
-
-    def initial_uniforms(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        hi = self.n_particles if hi is None else hi
-        return uniforms(self.seed, np.arange(lo, hi), 0, Channel.INITIAL)
-
-    # -- per-particle views used by the coupled oracles ---------------------
-
-    def particle_gaussians(self, particle: int) -> np.ndarray:
-        """(n_steps,) Gaussian path of one particle, index k-1 <-> step k."""
-        self._check_particle(particle)
-        steps = np.arange(1, self.n_steps + 1)
-        return gaussians(self.seed, particle, steps)
-
-    def particle_counts(self, particle: int) -> np.ndarray:
-        self._check_particle(particle)
-        steps = np.arange(1, self.n_steps + 1)
-        return poisson_counts(self.seed, particle, steps, self.jump_mean)
-
-    def particle_marks(self, particle: int, step: int, count: int) -> np.ndarray:
-        self._check_step(step)
-        self._check_particle(particle)
-        return jump_sizes(
-            StreamKey(self.seed, particle, step, Channel.JUMP_SIZE), count,
-            self.jump_law,
-        )
-
-    def particle_mark_sums(self, particle: int) -> np.ndarray:
-        """(n_steps,) sum of raw marks per step for one particle."""
-        counts = self.particle_counts(particle)
-        sums = np.zeros(self.n_steps)
-        for idx in np.nonzero(counts)[0]:
-            step = int(idx) + 1
-            sums[idx] = self.particle_marks(particle, step, int(counts[idx])).sum()
-        return sums
+    def initial_uniforms(self, particles) -> np.ndarray:
+        """Uniforms feeding the initial law of the given particles."""
+        self._check(particles)
+        return uniforms(self.seed, particles, 0, Channel.INITIAL)

@@ -338,6 +338,7 @@ def test_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch, threads):
     err = capsys.readouterr().err
     assert err.startswith("error: MEANREFLECT_THREADS must be a positive integer")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_subcommand_exits_two():

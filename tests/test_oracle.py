@@ -128,9 +128,9 @@ class TestCaseII:
         noise = make_noise(9, grid, 1, FIG3["lambda"], DiracPoint(1.0))
         path = exact_case_ii(noise, FIG3, grid)
         # independent recomputation of Y and the correction integral
-        g = noise.particle_gaussians(0)
+        g = noise.gaussians(0, np.arange(1, 5))
         b = np.concatenate(([0.0], np.cumsum(math.sqrt(grid.dt) * g)))
-        n = np.concatenate(([0], np.cumsum(noise.particle_counts(0))))
+        n = np.concatenate(([0], np.cumsum(noise.counts(0, np.arange(1, 5)))))
         y = 4.0 * np.exp(-(3.0 + 0.5 + 2.0) * path.times + b) * 2.0**n
         integral = 0.0
         want = [y[0]]

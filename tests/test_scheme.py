@@ -103,7 +103,7 @@ class TestInit:
             model, constraint, GridSpec(1.0, 5), 300, seed=4,
             observe=lambda k, X: seen.setdefault(k, X.copy()),
         )
-        want = LogNormal(0.0, 0.5).from_uniform(traj.noise.initial_uniforms())
+        want = LogNormal(0.0, 0.5).from_uniform(traj.noise.initial_uniforms(np.arange(300)))
         assert np.array_equal(seen[0], want + traj.k_hat[0])
 
 

@@ -20,15 +20,11 @@ from meanreflect.stochastics import (
     DiracPoint,
     LogNormal,
     NoiseRecord,
-    StreamKey,
     derive_seed,
     expect,
-    gaussian,
     gaussians,
     jump_sizes,
-    poisson_count,
     poisson_counts,
-    uniform,
     uniforms,
 )
 
@@ -61,9 +57,9 @@ def test_philox_known_answer_vectors():
 
 
 def test_same_key_same_draw():
-    key = StreamKey(seed=123456789, particle=42, step=7)
-    assert gaussian(key) == gaussian(key)
-    assert uniform(key) == uniform(key)
+    key = (123456789, 42, 7)
+    assert gaussians(*key) == gaussians(*key)
+    assert uniforms(*key, Channel.GAUSSIAN) == uniforms(*key, Channel.GAUSSIAN)
 
 
 @settings(max_examples=60, deadline=None)
@@ -74,10 +70,10 @@ def test_same_key_same_draw():
     sub=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_key_determinism_property(seed, particle, step, sub):
-    key = StreamKey(seed, particle, step, Channel.JUMP_SIZE, sub)
-    first = uniform(key)
+    first = uniforms(seed, particle, step, Channel.JUMP_SIZE, sub)
+    assert first.shape == ()
     assert 0.0 < first < 1.0
-    assert uniform(key) == first
+    assert uniforms(seed, particle, step, Channel.JUMP_SIZE, sub) == first
 
 
 def test_distinct_subkeys_distinct_draws():
@@ -95,7 +91,7 @@ def test_gaussian_moments_million_draws():
 
 
 def test_poisson_zero_rate():
-    assert poisson_count(StreamKey(1, 2, 3, Channel.POISSON_COUNT), 0.0) == 0
+    assert poisson_counts(1, 2, 3, 0.0) == 0
     assert np.all(poisson_counts(1, np.arange(100), 3, 0.0) == 0)
 
 
@@ -134,11 +130,11 @@ def test_poisson_negative_mean_rejected():
 
 
 def test_jump_sizes_empty_and_dirac():
-    key = StreamKey(3, 0, 1, Channel.JUMP_SIZE)
-    assert jump_sizes(key, 0, LogNormal()).size == 0
-    assert np.array_equal(jump_sizes(key, 3, DiracPoint(1.0)), np.ones(3))
-    with pytest.raises(ValueError):
-        jump_sizes(key, -1, LogNormal())
+    assert jump_sizes(3, 0, 1, np.arange(0), LogNormal()).size == 0
+    assert np.array_equal(jump_sizes(3, 0, 1, np.arange(3), DiracPoint(1.0)), np.ones(3))
+    u = uniforms(3, 0, 1, Channel.JUMP_SIZE, np.arange(3))
+    assert np.array_equal(jump_sizes(3, 0, 1, np.arange(3), LogNormal()),
+                          LogNormal().from_uniform(u))
 
 
 def test_lognormal_mean_million_draws():
@@ -180,9 +176,7 @@ def test_replay_invariance_orders_and_chunks():
         [gaussians(seed, np.arange(lo, lo + 512), step) for lo in range(0, n, 512)]
     )
     reversed_order = gaussians(seed, np.arange(n)[::-1], step)[::-1]
-    scalar = np.array(
-        [gaussian(StreamKey(seed, i, step)) for i in range(0, n, 257)]
-    )
+    scalar = np.array([gaussians(seed, i, step) for i in range(0, n, 257)])
     assert np.array_equal(full, chunked)
     assert np.array_equal(full, reversed_order)
     assert np.array_equal(full[::257], scalar)
@@ -214,29 +208,50 @@ class TestNoiseRecord:
 
     def test_matches_direct_functions(self):
         rec = self.record()
-        assert np.array_equal(rec.gaussians(3), gaussians(9, np.arange(50), 3))
+        particles = np.arange(50)
+        assert np.array_equal(rec.gaussians(particles, 3), gaussians(9, particles, 3))
         assert np.array_equal(
-            rec.counts(3), poisson_counts(9, np.arange(50), 3, 0.4)
+            rec.counts(particles, 3), poisson_counts(9, particles, 3, 0.4)
+        )
+        assert np.array_equal(
+            rec.marks(particles, 3, 1), jump_sizes(9, particles, 3, 1, LogNormal())
+        )
+        assert np.array_equal(
+            rec.initial_uniforms(particles), uniforms(9, particles, 0, Channel.INITIAL)
         )
 
     def test_particle_views_consistent(self):
+        # One particle over all steps is the matching column of the
+        # step-major calls the scheme makes, bit for bit.
         rec = self.record()
-        path = rec.particle_gaussians(7)
-        for step in (1, 10, 20):
-            assert path[step - 1] == rec.gaussians(step)[7]
-        counts = rec.particle_counts(7)
-        sums = rec.particle_mark_sums(7)
-        for step in range(1, 21):
-            c = int(counts[step - 1])
-            marks = rec.particle_marks(7, step, c)
-            assert marks.size == c
-            assert sums[step - 1] == pytest.approx(marks.sum(), abs=1e-15)
+        particles, steps = np.arange(50), np.arange(1, 21)
+
+        def by_step(draw):
+            return np.stack([draw(particles, k) for k in steps])
+
+        assert np.array_equal(rec.gaussians(7, steps), by_step(rec.gaussians)[:, 7])
+        assert np.array_equal(rec.counts(7, steps), by_step(rec.counts)[:, 7])
+        for sub in (0, 2):
+            marks = lambda p, k: rec.marks(p, k, sub)
+            assert np.array_equal(marks(7, steps), by_step(marks)[:, 7])
+        grid = rec.gaussians(particles[None, :], steps[:, None])
+        assert np.array_equal(grid, by_step(rec.gaussians))
 
     def test_step_and_particle_bounds(self):
         rec = self.record()
-        with pytest.raises(NoiseMismatch):
-            rec.gaussians(0)
-        with pytest.raises(NoiseMismatch):
-            rec.gaussians(21)
-        with pytest.raises(NoiseMismatch):
-            rec.particle_gaussians(50)
+        draws = {
+            "gaussians": rec.gaussians,
+            "counts": rec.counts,
+            "marks": lambda p, k: rec.marks(p, k, 0),
+            "initial_uniforms": lambda p, k: rec.initial_uniforms(p),
+        }
+        for name, draw in draws.items():
+            assert draw(np.arange(50), 20).shape == (50,), name
+            for particles in (50, -1, np.arange(60), np.array([70]), np.arange(40, 80)):
+                with pytest.raises(NoiseMismatch, match="particle"):
+                    draw(particles, 3)
+            if name == "initial_uniforms":
+                continue
+            for steps in (0, 21, np.arange(0, 5), np.arange(18, 22)):
+                with pytest.raises(NoiseMismatch, match="step"):
+                    draw(np.arange(50), steps)
