@@ -140,8 +140,8 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args, config, required=False)
     out_dir = Path(args.out)
     outputs = ["path.csv"] + (["noise trace"] if args.dump_noise else [])
-    _write_manifest(out_dir, "simulate", config, seed, outputs)
     model, constraint = build_model(config)
+    _write_manifest(out_dir, "simulate", config, seed, outputs)
     grid = config.single_grid()
     traj = simulate(model, constraint, grid, config.single_particle_count(), seed)
     _write_csv(
@@ -171,8 +171,8 @@ def _cmd_oracle(args) -> int:
         )
     seed = _resolve_seed(args, config, required=False) if spec.coupled else 0
     out_dir = Path(args.out)
-    _write_manifest(out_dir, "oracle", config, seed, ["oracle.csv"])
     model, _ = build_model(config)
+    _write_manifest(out_dir, "oracle", config, seed, ["oracle.csv"])
     grid = config.single_grid()
     if spec.coupled is None:
         path = spec.reference(model.params, grid)
@@ -196,6 +196,7 @@ def _cmd_convergence(args) -> int:
     seed = _resolve_seed(args, config, required=True)
     config = dataclasses.replace(config, seed=seed)
     out_dir = Path(args.out)
+    build_model(config)  # a bad model is rejected before the manifest is written
     _write_manifest(
         out_dir, "convergence", config, seed,
         ["convergence.csv", "regression.json", "timings.json"],
@@ -249,8 +250,8 @@ def _cmd_density(args) -> int:
         )
     seed = _resolve_seed(args, config, required=False)
     out_dir = Path(args.out)
-    _write_manifest(out_dir, "density", config, seed, ["density.csv"])
     model, constraint = build_model(config)
+    _write_manifest(out_dir, "density", config, seed, ["density.csv"])
     grid = config.single_grid()
     times, khat = oracle.density_series(
         model, constraint, grid, config.single_particle_count(), seed

@@ -33,17 +33,22 @@ from .stochastics import DiracPoint, LogNormal, derive_seed
 _REPLICATION_PURPOSE = 1
 
 
-# The custom case: required parameters, optional affine coefficients, jump
-# laws, and the numeric fields each constraint kind requires.
+# The custom case: required parameters, optional affine coefficients, and
+# the numeric fields of each jump law.
 _CUSTOM_PARAMS = ("lambda", "x0")
 _CUSTOM_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
-_JUMP_LAWS = ("lognormal", "dirac")
-_CONSTRAINT_PARAMS = {"linear": ("p",), "sine": ("alpha", "p")}
+_JUMP_LAWS = {"lognormal": ("location", "scale"), "dirac": ("value",)}
 
 
 def _is_number(value) -> bool:
     """A finite float or an int within float range; booleans do not count."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _unknown(where: str, given: dict, known: tuple, owner: str) -> list[str]:
+    """One problem per key of ``given`` outside ``known``."""
+    return [f"{where}.{key} is not a parameter of {owner}"
+            for key in given if key not in known]
 
 
 def _is_count(value) -> bool:
@@ -66,7 +71,7 @@ class ExperimentConfig:
 
         {
           "model": {"case": <a key of oracle.CASES>|"custom", ...parameters...},
-          "constraint": {"kind": "linear"|"sine", ...},   # custom case only
+          "constraint": {"kind": <a key of model.KINDS>, ...},  # custom case only
           "grid": {"T": <float>, "n": <int>},
           "particles": <int>,
           "replications": <int>,            # default 1000
@@ -101,24 +106,35 @@ class ExperimentConfig:
                 problems.append(f"model.{name} is required for case {case!r}")
         # Every field collected here must hold a finite number.
         numbers = {f"model.{n}": params[n] for n in (*required, *optional) if n in params}
+        known = (*required, *optional, "jump") if case == "custom" else required
+        if case == self.case:  # fields are not checked against a case already refused
+            problems += _unknown("model", params, known, f"case {case!r}")
 
         constraint = self.constraint_params
         if case == "custom":
             jump = params.get("jump", {"law": "dirac"})
-            if isinstance(jump, dict) and jump.get("law") in _JUMP_LAWS:
-                numbers.update((f"model.jump.{k}", v) for k, v in jump.items() if k != "law")
+            law = jump.get("law") if isinstance(jump, dict) else None
+            fields = _JUMP_LAWS.get(law) if isinstance(law, str) else None
+            if fields is not None:
+                numbers.update((f"model.jump.{k}", jump[k]) for k in fields if k in jump)
+                problems += _unknown("model.jump", jump, ("law", *fields), f"law {law!r}")
             else:
-                problems.append(f"model.jump must be an object with 'law' in {_JUMP_LAWS}")
+                problems.append(
+                    f"model.jump must be an object with 'law' in {tuple(_JUMP_LAWS)}"
+                )
             kind = constraint.get("kind", "linear") if isinstance(constraint, dict) else None
-            if kind in tuple(_CONSTRAINT_PARAMS):
+            record = model_mod.KINDS.get(kind) if isinstance(kind, str) else None
+            if record is not None:
                 numbers.update(
-                    (f"constraint.{name}", constraint.get(name))
-                    for name in _CONSTRAINT_PARAMS[kind]
+                    (f"constraint.{name}", constraint.get(name)) for name in record.params
+                )
+                problems += _unknown(
+                    "constraint", constraint, ("kind", *record.params), f"kind {kind!r}"
                 )
             else:
                 problems.append(
                     "custom case requires a 'constraint' object with 'kind' in "
-                    f"{tuple(_CONSTRAINT_PARAMS)}"
+                    f"{tuple(model_mod.KINDS)}"
                 )
         elif constraint is not None:
             problems.append(
@@ -261,13 +277,8 @@ def _build_affine_model(
     else:
         law = DiracPoint(float(jump.get("value", 1.0)))
     mark_mean = law.mean()
-    kind = constraint_params.get("kind", "linear")
-    if kind == "linear":
-        constraint = model_mod.linear_constraint(float(constraint_params["p"]))
-    else:
-        constraint = model_mod.sine_constraint(
-            float(constraint_params["alpha"]), float(constraint_params["p"])
-        )
+    kind = model_mod.KINDS[constraint_params.get("kind", "linear")]
+    constraint = kind.factory(*(float(constraint_params[n]) for n in kind.params))
     spec = ModelSpec(
         drift=lambda x: -(beta + a * x),
         diffusion=lambda x: sigma + gamma * x,

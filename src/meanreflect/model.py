@@ -42,8 +42,8 @@ class Constraint:
     ``m`` and ``M`` bound the increments: m|x-y| <= |h(x)-h(y)| <= M|x-y|.
     They may be ``None`` for custom constraints without certified bounds, in
     which case root brackets are grown geometrically instead of placed
-    directly. ``kind`` selects fast evaluation paths in the reflection
-    kernel ("linear", "sine", or "custom").
+    directly. ``kind`` is a key of :data:`KINDS`; any other key (the default
+    "custom") takes the generic O(N) path of the reflection kernel.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
@@ -53,6 +53,11 @@ class Constraint:
     h_second: Callable[[np.ndarray], np.ndarray] | None = None
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+
+    @property
+    def kind_record(self) -> "ConstraintKind":
+        """The :data:`KINDS` record of ``kind``, or :data:`GENERIC_KIND`."""
+        return KINDS.get(self.kind, GENERIC_KIND)
 
 
 def linear_constraint(p: float) -> Constraint:
@@ -69,15 +74,13 @@ def linear_constraint(p: float) -> Constraint:
 
 
 def sine_constraint(alpha: float, p: float) -> Constraint:
-    """h(x) = x + alpha*sin(x) - p, increasing and bi-Lipschitz for |alpha| < 1.
-
-    Constraints with |alpha| >= 1 can still be constructed (``m`` collapses
-    to 0) so that :func:`validate` can report the violation; the model
-    factories reject them outright.
-    """
+    """h(x) = x + alpha*sin(x) - p, increasing and bi-Lipschitz with
+    m = 1 - |alpha| and M = 1 + |alpha|; raises ValueError unless |alpha| < 1."""
+    if not abs(alpha) < 1.0:
+        raise ValueError(f"sine constraint needs |alpha| < 1, got alpha={alpha}")
     return Constraint(
         h=lambda x: x + alpha * np.sin(x) - p,
-        m=max(1.0 - abs(alpha), 0.0),
+        m=1.0 - abs(alpha),
         M=1.0 + abs(alpha),
         h_prime=lambda x: 1.0 + alpha * np.cos(x),
         h_second=lambda x: -alpha * np.sin(x),
@@ -93,6 +96,42 @@ def sine_constraint_root(alpha: float, p: float) -> float:
     f = lambda x: x + alpha * math.sin(x) - p
     lo, hi = expand_bracket(f, -max(1.0, 2.0 * abs(p)), max(1.0, 2.0 * abs(p)))
     return bisect_increasing(f, lo, hi, tol_x=1e-14)
+
+
+@dataclass(frozen=True)
+class ConstraintKind:
+    """One constraint kind: its config parameters (in ``factory`` order), its
+    factory, and the reflection kernel's view of it. ``reduce(atoms)`` keeps
+    statistics besides the atom mean, ``mean(c, x, atom_mean, stats)`` is the
+    mean of h at shift x and ``root(c, atom_mean, stats)`` its exact root
+    (None: bisect). An ``affine`` h has no jump part in its generator. The
+    defaults are the generic kind: it keeps the atoms, O(N) per mean."""
+
+    params: tuple[str, ...] = ()
+    factory: Callable[..., Constraint] | None = None
+    reduce: Callable[[np.ndarray], object] = lambda atoms: atoms
+    mean: Callable[..., float] = lambda c, x, _, atoms: float(np.mean(c.h(x + atoms)))
+    root: Callable[..., float] | None = None
+    affine: bool = False
+
+
+#: The constraint kinds a config can name; adding one means adding a record.
+KINDS: dict[str, ConstraintKind] = {
+    "linear": ConstraintKind(
+        ("p",), linear_constraint, reduce=lambda atoms: None,
+        mean=lambda c, x, atom_mean, _: x + atom_mean - c.params["p"],
+        root=lambda c, atom_mean, _: c.params["p"] - atom_mean, affine=True,
+    ),
+    "sine": ConstraintKind(
+        ("alpha", "p"), sine_constraint,
+        reduce=lambda a: (float(np.mean(np.cos(a))), float(np.mean(np.sin(a)))),
+        mean=lambda c, x, atom_mean, s: (
+            x + atom_mean - c.params["p"]
+            + c.params["alpha"] * (math.sin(x) * s[0] + math.cos(x) * s[1])
+        ),
+    ),
+}
+GENERIC_KIND = ConstraintKind()
 
 
 @dataclass(frozen=True)
@@ -213,10 +252,6 @@ def make_case_iii(
     """
     if beta <= 0 or a <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
         raise ValueError("case (iii) requires beta, a, sigma, eta, lambda > 0")
-    if abs(alpha) >= 1.0:
-        raise ValueError(
-            f"|alpha|={abs(alpha)} >= 1: constraint no longer increasing bi-Lipschitz"
-        )
     constraint = sine_constraint(alpha, p)
     if float(constraint.h(x0)) < 0.0:
         raise ValueError(
@@ -277,13 +312,6 @@ def validate(spec: ModelSpec, constraint: Constraint) -> ValidationReport:
     numerically, so this never rejects).
     """
     report = ValidationReport()
-
-    if constraint.kind == "sine":
-        alpha = constraint.params.get("alpha", 0.0)
-        if abs(alpha) >= 1.0:
-            report.violations.append(
-                f"sine constraint needs |alpha| < 1, got alpha={alpha}"
-            )
 
     if (constraint.m is None) != (constraint.M is None):
         report.violations.append("m and M must be supplied together")

@@ -242,10 +242,10 @@ def _jump_generator_term(
 ) -> np.ndarray:
     """intensity * E_mark[h(x+F) - h(x) - F h'(x)] per atom.
 
-    Zero for a linear h; otherwise the mark expectation is taken by the jump
+    Zero for an affine h; otherwise the mark expectation is taken by the jump
     law's quadrature rule (exact for point marks).
     """
-    if constraint.kind == "linear":
+    if constraint.kind_record.affine:
         return np.zeros_like(atoms)
     h = constraint.h
     h_at = h(atoms)

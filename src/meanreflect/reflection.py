@@ -13,10 +13,9 @@ objects are
 
 Root finding is bisection to an absolute tolerance of 1e-12 on x, so the
 reflection error is negligible next to the Monte Carlo error of the
-surrounding scheme. Linear constraints get a closed form and sine-perturbed
-constraints get an O(1)-per-iteration evaluator built from three reductions
-over the atoms; both shortcuts agree with plain bisection to 1e-10 and are
-tested against it.
+surrounding scheme. Each constraint kind (:data:`~meanreflect.model.KINDS`)
+sets what is kept of the atoms, the mean at a shift and any exact root, and
+is tested against the generic O(N) mean and its bisection root.
 """
 
 from __future__ import annotations
@@ -42,49 +41,27 @@ def as_atoms(measure) -> np.ndarray:
 
 
 class MeanEvaluator:
-    """x -> mean h(x + atoms) with per-kind reduced statistics.
+    """x -> mean h(x + atoms), from the statistics the constraint's kind keeps.
 
-    Building one costs O(N); evaluations are O(1) for linear and sine
-    constraints and O(N) otherwise. The stepping loop reuses a single
-    evaluator per step for both the root solve and the constraint-mean
-    diagnostics, so summation order is fixed and results are independent of
-    worker count.
+    Building one costs O(N); evaluations are O(1) for the linear and sine
+    kinds and O(N) otherwise. The stepping loop reuses a single evaluator
+    per step for both the root solve and the constraint-mean diagnostics, so
+    summation order is fixed and results are independent of worker count.
     """
 
     def __init__(self, atoms: np.ndarray, constraint: Constraint):
         self._constraint = constraint
-        self._kind = constraint.kind
+        self._kind = constraint.kind_record
         self.atom_mean = float(np.mean(atoms))
-        if self._kind == "linear":
-            self._p = constraint.params["p"]
-        elif self._kind == "sine":
-            self._alpha = constraint.params["alpha"]
-            self._p = constraint.params["p"]
-            self._cos_mean = float(np.mean(np.cos(atoms)))
-            self._sin_mean = float(np.mean(np.sin(atoms)))
-        else:
-            self._atoms = atoms
+        self._stats = self._kind.reduce(atoms)
 
     def __call__(self, x: float) -> float:
-        if self._kind == "linear":
-            return x + self.atom_mean - self._p
-        if self._kind == "sine":
-            return (
-                x
-                + self.atom_mean
-                - self._p
-                + self._alpha
-                * (
-                    math.sin(x) * self._cos_mean
-                    + math.cos(x) * self._sin_mean
-                )
-            )
-        return float(np.mean(self._constraint.h(x + self._atoms)))
+        return self._kind.mean(self._constraint, x, self.atom_mean, self._stats)
 
     def root(self) -> float:
         """The x with mean h(x + atoms) = 0."""
-        if self._kind == "linear":
-            return self._p - self.atom_mean
+        if self._kind.root is not None:
+            return self._kind.root(self._constraint, self.atom_mean, self._stats)
         at_zero = self(0.0)
         if not math.isfinite(at_zero):
             raise NonFiniteBracket(

@@ -317,6 +317,26 @@ class TestValidateCommand:
         doc = dict(MINIMAL, grid={"T": True, "n": 40})
         assert "grid.T must be > 0" in self.validate_error(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize("doc, problem", [
+        (dict(CUSTOM, model=dict(CUSTOM["model"], sigam=1.0)),
+         "model.sigam is not a parameter of case 'custom'"),
+        (dict(CUSTOM, model=dict(CUSTOM["model"],
+                                 jump={"law": "lognormal", "scael": 0.2})),
+         "model.jump.scael is not a parameter of law 'lognormal'"),
+        (dict(CUSTOM, constraint={"kind": "linear", "p": 0.5, "alpha": 0.3}),
+         "constraint.alpha is not a parameter of kind 'linear'"),
+        (dict(MINIMAL, model=dict(MINIMAL["model"], alpah=0.9)),
+         "model.alpah is not a parameter of case 'i'"),
+    ], ids=["model", "jump", "constraint", "builtin"])
+    def test_unknown_field_rejected(self, tmp_path, capsys, doc, problem):
+        assert problem in self.validate_error(tmp_path, capsys, doc)
+
+    def test_wide_sine_alpha_rejected(self, tmp_path, capsys):
+        doc = dict(CUSTOM, constraint={"kind": "sine", "alpha": 1.5, "p": 0.5})
+        assert "|alpha| < 1" in self.validate_error(tmp_path, capsys, doc)
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 1
+
 
 @pytest.mark.parametrize("steps, seed", [
     (10**30, "7"), (40, "-1"), (40, str(2**64)),
@@ -338,6 +358,16 @@ def test_bad_thread_count_exits_one(tmp_path, capsys, monkeypatch, threads):
     err = capsys.readouterr().err
     assert err.startswith("error: MEANREFLECT_THREADS must be a positive integer")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle", "convergence", "density"])
+def test_bad_model_writes_no_manifest(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["model"]["x0"] = 0.0  # below the threshold p
+    assert main([command, "--config", write_config(tmp_path, doc), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "x0=0.0 < p=0.5" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -269,8 +269,9 @@ class TestBuildModel:
             build_model(fig1_config(case="custom",
                                     model_params={"lambda": 1.0, "x0": 1.0},
                                     constraint_params={"kind": "cubic", "p": 0.0}))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as excinfo:
             build_model(fig1_config(case="iv"))
+        assert "is not a parameter" not in str(excinfo.value)
 
 
 class TestL2Error:

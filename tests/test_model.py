@@ -8,6 +8,7 @@ import pytest
 
 from meanreflect import stochastics as sto
 from meanreflect.model import (
+    Constraint,
     ModelSpec,
     linear_constraint,
     make_case_i,
@@ -141,9 +142,15 @@ class TestValidate:
         assert any("h(X0)" in v for v in report.violations)
 
     def test_flags_wide_sine_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            sine_constraint(1.5, 0.0)
+        # Built by hand, this h has no positive lower slope bound and
+        # decreases where 1.5 cos(x) < -1.
         spec, _ = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
-        report = validate(spec, sine_constraint(1.5, 0.0))
-        assert any("alpha" in v for v in report.violations)
+        wide = Constraint(h=lambda x: x + 1.5 * np.sin(x), m=0.0, M=2.5)
+        report = validate(spec, wide)
+        assert any("0 < m" in v for v in report.violations)
+        assert any("not nondecreasing" in v for v in report.violations)
 
     def test_sampler_initial_law_negative_mean_flagged(self):
         spec, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
@@ -175,8 +182,6 @@ class TestValidate:
 
     def test_missing_bounds_warns(self):
         spec, _ = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
-        from meanreflect.model import Constraint
-
         free = Constraint(h=lambda x: x, m=None, M=None, kind="custom")
         report = validate(spec, free)
         assert report.ok

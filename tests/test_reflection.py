@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from meanreflect import stochastics as sto
 from meanreflect.errors import NoConvergence, NonFiniteBracket, SizeMismatch
-from meanreflect.model import Constraint, linear_constraint, sine_constraint
+from meanreflect.model import KINDS, Constraint, linear_constraint, sine_constraint
 from meanreflect.reflection import (
     MeanEvaluator,
     ReflectionTracker,
@@ -21,6 +21,9 @@ from meanreflect.reflection import (
 )
 
 TOL_X = 1e-12
+
+#: A value for each constraint-kind parameter, to build every kind.
+KIND_ARGS = {"p": 0.8, "alpha": 0.6}
 
 
 def random_atoms(seed: int, n: int, scale: float = 10.0) -> np.ndarray:
@@ -87,12 +90,21 @@ class TestBarG0:
         want = grid_scan_root(evaluator, -20.0, 20.0)
         assert bar_g0(atoms, constraint) == pytest.approx(want, abs=1e-9)
 
-    def test_bisection_matches_closed_form(self):
-        constraint = linear_constraint(0.8)
+    @pytest.mark.parametrize(
+        "kind", [k for k, record in KINDS.items() if record.factory is not None]
+    )
+    def test_bisection_matches_closed_form(self, kind):
+        """Each kind's mean and root agree with the generic O(N) path."""
+        record = KINDS[kind]
+        constraint = record.factory(*(KIND_ARGS[name] for name in record.params))
+        generic = dataclasses.replace(constraint, kind="custom")
         for seed in range(50):
             atoms = random_atoms(seed + 10, 64)
+            evaluator = MeanEvaluator(atoms, constraint)
+            for x in (-3.0, -0.4, 0.0, 1.7, 5.0):
+                assert abs(evaluator(x) - h_mean(x, atoms, constraint)) <= 1e-12
             fast = bar_g0(atoms, constraint)
-            slow = bar_g0(atoms, dataclasses.replace(constraint, kind="custom"))
+            slow = bar_g0(atoms, generic)
             assert abs(fast - slow) <= 1e-10
 
     def test_custom_without_bounds_grows_bracket(self):
