@@ -40,6 +40,7 @@ from .model import (
     Constraint,
     ModelSpec,
     ValidationReport,
+    affine_model,
     linear_constraint,
     make_case_i,
     make_case_ii,

@@ -28,6 +28,7 @@ from .harness import (
     ExperimentConfig,
     build_model,
     convergence_sweep,
+    coupled_case,
     skorokhod_report,
 )
 from .model import validate as validate_model
@@ -196,7 +197,10 @@ def _cmd_convergence(args) -> int:
     seed = _resolve_seed(args, config, required=True)
     config = dataclasses.replace(config, seed=seed)
     out_dir = Path(args.out)
-    build_model(config)  # a bad model is rejected before the manifest is written
+    # A case without a coupled path or a bad model is rejected before the
+    # manifest is written.
+    coupled_case(config.case)
+    build_model(config)
     _write_manifest(
         out_dir, "convergence", config, seed,
         ["convergence.csv", "regression.json", "timings.json"],

@@ -15,6 +15,7 @@ without touching the within-cell independence of replications.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,10 +35,10 @@ _REPLICATION_PURPOSE = 1
 
 
 # The custom case: required parameters, optional affine coefficients, and
-# the numeric fields of each jump law.
+# the mark laws, whose numeric config fields are their dataclass fields.
 _CUSTOM_PARAMS = ("lambda", "x0")
 _CUSTOM_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
-_JUMP_LAWS = {"lognormal": ("location", "scale"), "dirac": ("value",)}
+_JUMP_LAWS = {"lognormal": LogNormal, "dirac": DiracPoint}
 
 
 def _is_number(value) -> bool:
@@ -114,8 +115,9 @@ class ExperimentConfig:
         if case == "custom":
             jump = params.get("jump", {"law": "dirac"})
             law = jump.get("law") if isinstance(jump, dict) else None
-            fields = _JUMP_LAWS.get(law) if isinstance(law, str) else None
-            if fields is not None:
+            law_type = _JUMP_LAWS.get(law) if isinstance(law, str) else None
+            if law_type is not None:
+                fields = tuple(f.name for f in dataclasses.fields(law_type))
                 numbers.update((f"model.jump.{k}", jump[k]) for k in fields if k in jump)
                 problems += _unknown("model.jump", jump, ("law", *fields), f"law {law!r}")
             else:
@@ -246,51 +248,21 @@ def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
     """
     p = config.model_params
     try:
-        if config.case == "custom":
-            return _build_affine_model(p, config.constraint_params)
-        case = oracle_mod.CASES[config.case]
-        return case.factory(*(p[name] for name in case.params))
+        if config.case != "custom":
+            case = oracle_mod.CASES[config.case]
+            return case.factory(*(p[name] for name in case.params))
+        jump = dict(p.get("jump", {"law": "dirac"}))
+        law = _JUMP_LAWS[jump.pop("law")](**{k: float(v) for k, v in jump.items()})
+        coefficients = {k: float(p[k]) for k in _CUSTOM_COEFFICIENTS if k in p}
+        spec = model_mod.affine_model(
+            float(p["lambda"]), float(p["x0"]), law, **coefficients, params=dict(p)
+        )
+        kind = model_mod.KINDS[config.constraint_params.get("kind", "linear")]
+        return spec, kind.factory(
+            *(float(config.constraint_params[n]) for n in kind.params)
+        )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-
-
-def _build_affine_model(
-    params: dict, constraint_params: dict
-) -> tuple[ModelSpec, Constraint]:
-    """Affine-coefficient family for declarative custom configs.
-
-    drift = -(beta + a*x), diffusion = sigma + gamma*x, jump amplitude
-    z*(eta + theta*x) with marks from a lognormal or point law. Arbitrary
-    coefficient callables remain available through the Python API.
-    """
-    beta = float(params.get("beta", 0.0))
-    a = float(params.get("a", 0.0))
-    sigma = float(params.get("sigma", 0.0))
-    gamma = float(params.get("gamma", 0.0))
-    eta = float(params.get("eta", 0.0))
-    theta = float(params.get("theta", 0.0))
-    lam = float(params["lambda"])
-    x0 = float(params["x0"])
-    jump = params.get("jump", {"law": "dirac", "value": 1.0})
-    if jump.get("law") == "lognormal":
-        law = LogNormal(float(jump.get("location", 0.0)), float(jump.get("scale", 1.0)))
-    else:
-        law = DiracPoint(float(jump.get("value", 1.0)))
-    mark_mean = law.mean()
-    kind = model_mod.KINDS[constraint_params.get("kind", "linear")]
-    constraint = kind.factory(*(float(constraint_params[n]) for n in kind.params))
-    spec = ModelSpec(
-        drift=lambda x: -(beta + a * x),
-        diffusion=lambda x: sigma + gamma * x,
-        jump_amplitude=lambda x, z: z * (eta + theta * x),
-        intensity=lam,
-        jump_size_law=law,
-        initial_law=DiracPoint(x0),
-        compensator=lambda x: lam * mark_mean * (eta + theta * x),
-        case="custom",
-        params=dict(params),
-    )
-    return spec, constraint
 
 
 @dataclass(frozen=True)
@@ -318,6 +290,15 @@ class ResultTable:
     regression_in_steps: dict[int, RegressionResult] = field(default_factory=dict)
 
 
+def coupled_case(name: str) -> oracle_mod.Case:
+    """The built-in case ``name``; raises ValidationError unless it has an
+    exact path coupled to the scheme's noise."""
+    case = oracle_mod.CASES.get(name)
+    if case is None or case.coupled is None:
+        raise ValidationError(f"no exact coupled path for case {name!r}")
+    return case
+
+
 def l2_error(
     config: ExperimentConfig,
     n: int | None = None,
@@ -327,9 +308,7 @@ def l2_error(
     """Replicated worst-grid-point squared coupling error for one cell."""
     if config.seed is None:
         raise ValidationError("error estimation needs an explicit seed")
-    case = oracle_mod.CASES.get(config.case)
-    if case is None or case.coupled is None:
-        raise ValidationError(f"no exact coupled path for case {config.case!r}")
+    case = coupled_case(config.case)
     model, constraint = build_model(config)
     grid = GridSpec(config.horizon, config.grid_steps[0] if n is None else n)
     n_particles = config.particles[0] if n_particles is None else n_particles

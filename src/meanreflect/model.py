@@ -9,9 +9,11 @@ compensated by ``intensity * E_mark[F(x, mark)]``, and K is the minimal
 nondecreasing deterministic push keeping the mean constraint
 ``mean h(X_t) >= 0`` satisfied.
 
-Three parametric families with (semi-)closed-form solutions are built in;
-anything else can be declared directly through :class:`ModelSpec` and
-:class:`Constraint` with vectorized coefficient callables.
+The three built-in cases, which have (semi-)closed-form solutions, and the
+JSON "custom" family are coefficient sets of one affine model,
+:func:`affine_model`; anything else can be declared directly through
+:class:`ModelSpec` and :class:`Constraint` with vectorized coefficient
+callables.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import numpy as np
 from . import stochastics
 from .numerics import bisect_increasing, expand_bracket
 from .stochastics import DiracPoint, Law, LogNormal, expect
-
-_SQRT_E = math.sqrt(math.e)
 
 #: Internal seed for validation sampling (report must be reproducible).
 _VALIDATE_SEED = 0x56414C4944415445
@@ -168,14 +168,50 @@ class ModelSpec:
         return self.intensity * expect(self.jump_size_law, lambda z: amp(x, z))
 
 
+def _affine(c0: float, c1: float) -> Callable:
+    """x -> c0 + c1*x without its zero terms, so that a constant coefficient
+    stays a Python scalar that broadcasts against the particle array."""
+    if c1 == 0.0:
+        return lambda x: c0
+    if c0 == 0.0:
+        return lambda x: c1 * x
+    return lambda x: c0 + c1 * x
+
+
+def affine_model(
+    lam: float, x0: float, law: Law, *, beta: float = 0.0, a: float = 0.0,
+    sigma: float = 0.0, gamma: float = 0.0, eta: float = 0.0, theta: float = 0.0,
+    case: str = "custom", params: dict | None = None,
+) -> ModelSpec:
+    """The affine jump SDE, started at the point x0:
+
+        dX = -(beta + a X) dt + (sigma + gamma X) dB + Z (eta + theta X) dN~,
+
+    with marks Z from ``law``, jumps at rate ``lam`` and the exact
+    compensator ``(lam*eta*E[Z]) + (lam*theta*E[Z])*x``. ``case`` and
+    ``params`` are kept on the spec for the oracles."""
+    mark_mean = law.mean()
+    jump = _affine(eta, theta)
+    return ModelSpec(
+        drift=_affine(-beta, -a),
+        diffusion=_affine(sigma, gamma),
+        jump_amplitude=lambda x, z: z * jump(x),
+        intensity=lam,
+        jump_size_law=law,
+        initial_law=DiracPoint(x0),
+        compensator=_affine(lam * eta * mark_mean, lam * theta * mark_mean),
+        case=case,
+        params={} if params is None else params,
+    )
+
+
 def make_case_i(
     beta: float, sigma: float, eta: float, lam: float, x0: float, p: float
 ) -> tuple[ModelSpec, Constraint]:
     """Drifted Brownian motion with compensated lognormal jumps, linear constraint.
 
-    b = -beta, sigma constant, F(x, z) = eta*z with lognormal(0,1) marks.
-    The jump compensator is lam*eta*sqrt(e) since the marks have mean
-    sqrt(e).
+    The affine model with beta, sigma and eta, lognormal(0,1) marks (mean
+    sqrt(e)), and h(x) = x - p.
     """
     if beta <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
         raise ValueError("case (i) requires beta, sigma, eta, lambda > 0")
@@ -183,21 +219,9 @@ def make_case_i(
         raise ValueError(
             f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
         )
-    comp_value = lam * eta * _SQRT_E
-    spec = ModelSpec(
-        drift=lambda x: -beta,
-        diffusion=lambda x: sigma,
-        jump_amplitude=lambda x, z: eta * z,
-        intensity=lam,
-        jump_size_law=LogNormal(0.0, 1.0),
-        initial_law=DiracPoint(x0),
-        compensator=lambda x: comp_value,
-        case="i",
-        params={
-            "beta": beta, "sigma": sigma, "eta": eta, "lambda": lam,
-            "x0": x0, "p": p,
-        },
-    )
+    params = {"beta": beta, "sigma": sigma, "eta": eta, "lambda": lam, "x0": x0, "p": p}
+    spec = affine_model(lam, x0, LogNormal(0.0, 1.0), beta=beta, sigma=sigma, eta=eta,
+                        case="i", params=params)
     return spec, linear_constraint(p)
 
 
@@ -206,7 +230,8 @@ def make_case_ii(
 ) -> tuple[ModelSpec, Constraint]:
     """Geometric dynamics with multiplicative jumps, linear constraint.
 
-    b = -a*x, sigma = gamma*x, F(x, .) = theta*x at the unit Dirac mark.
+    The affine model with a, gamma and theta, unit Dirac marks, and
+    h(x) = x - p.
     """
     if a <= 0 or gamma <= 0 or theta <= 0 or lam <= 0:
         raise ValueError("case (ii) requires a, gamma, theta, lambda > 0")
@@ -218,20 +243,9 @@ def make_case_ii(
         raise ValueError(
             f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
         )
-    spec = ModelSpec(
-        drift=lambda x: -a * x,
-        diffusion=lambda x: gamma * x,
-        jump_amplitude=lambda x, z: theta * x,
-        intensity=lam,
-        jump_size_law=DiracPoint(1.0),
-        initial_law=DiracPoint(x0),
-        compensator=lambda x: lam * theta * x,
-        case="ii",
-        params={
-            "a": a, "gamma": gamma, "theta": theta, "lambda": lam,
-            "x0": x0, "p": p,
-        },
-    )
+    params = {"a": a, "gamma": gamma, "theta": theta, "lambda": lam, "x0": x0, "p": p}
+    spec = affine_model(lam, x0, DiracPoint(), a=a, gamma=gamma, theta=theta,
+                        case="ii", params=params)
     return spec, linear_constraint(p)
 
 
@@ -247,7 +261,7 @@ def make_case_iii(
 ) -> tuple[ModelSpec, Constraint]:
     """Mean-reverting dynamics with unit-mark jumps, sine-perturbed constraint.
 
-    b = -(beta + a*x), sigma constant, F = eta at the unit Dirac mark,
+    The affine model with beta, a, sigma and eta, unit Dirac marks, and
     h(x) = x + alpha*sin(x) - p.
     """
     if beta <= 0 or a <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
@@ -257,20 +271,10 @@ def make_case_iii(
         raise ValueError(
             f"h(x0) = {float(constraint.h(x0)):.6g} < 0: initial mean constraint violated"
         )
-    spec = ModelSpec(
-        drift=lambda x: -(beta + a * x),
-        diffusion=lambda x: sigma,
-        jump_amplitude=lambda x, z: eta,
-        intensity=lam,
-        jump_size_law=DiracPoint(1.0),
-        initial_law=DiracPoint(x0),
-        compensator=lambda x: lam * eta,
-        case="iii",
-        params={
-            "beta": beta, "a": a, "sigma": sigma, "eta": eta, "lambda": lam,
-            "x0": x0, "p": p, "alpha": alpha,
-        },
-    )
+    params = {"beta": beta, "a": a, "sigma": sigma, "eta": eta, "lambda": lam,
+              "x0": x0, "p": p, "alpha": alpha}
+    spec = affine_model(lam, x0, DiracPoint(), beta=beta, a=a, sigma=sigma, eta=eta,
+                        case="iii", params=params)
     return spec, constraint
 
 

@@ -46,8 +46,6 @@ from .model import (
 from .scheme import GridSpec, simulate
 from .stochastics import NoiseRecord, expect
 
-_SQRT_E = math.sqrt(math.e)
-
 
 @dataclass
 class OraclePath:
@@ -102,7 +100,8 @@ def _reference_case_ii(params: Mapping[str, float], grid: GridSpec) -> OraclePat
 def exact_case_i(
     noise: NoiseRecord, params: Mapping[str, float], grid: GridSpec, particle: int = 0
 ) -> OraclePath:
-    """Exact coupled path for case i on the grid."""
+    """Exact coupled path for case i on the grid; its drift is compensated by
+    ``lam*eta*E[Z]``, the product the model's compensator uses."""
     beta, sigma, eta, lam, x0 = _require(params, "beta", "sigma", "eta", "lambda", "x0")
     steps = _check_noise(noise, grid)
     ref = _reference_case_i(params, grid)
@@ -113,9 +112,8 @@ def exact_case_i(
     for k in np.nonzero(counts)[0]:
         mark_sums[k] = noise.marks(particle, steps[k], np.arange(counts[k])).sum()
     jump_path = np.concatenate(([0.0], np.cumsum(eta * mark_sums)))
-    x_exact = (
-        x0 - (beta + lam * eta * _SQRT_E) * t + sigma * b_path + jump_path + ref.k_exact
-    )
+    compensated = beta + lam * eta * noise.jump_law.mean()
+    x_exact = x0 - compensated * t + sigma * b_path + jump_path + ref.k_exact
     return replace(ref, x_exact=x_exact)
 
 

@@ -156,9 +156,9 @@ def poisson_counts(seed: int, particle, step, rate_times_dt: float) -> np.ndarra
 
 @dataclass(frozen=True)
 class DiracPoint:
-    """Point mass at ``value``."""
+    """Point mass at ``value`` (default: the unit mark)."""
 
-    value: float
+    value: float = 1.0
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return np.full(np.shape(u), self.value)

@@ -371,6 +371,15 @@ def test_bad_model_writes_no_manifest(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("case", ["iii", "custom"])
+def test_convergence_without_coupled_path_writes_nothing(tmp_path, capsys, config_dir, case):
+    cfg = str(config_dir / "fig5.json") if case == "iii" else write_config(tmp_path, CUSTOM)
+    assert main(["convergence", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert f"no exact coupled path for case {case!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -44,7 +44,7 @@ GOLDEN = {
                     _doc(CUSTOM, 1.0, 20, 200,
                          constraint={"kind": "sine", "alpha": 0.5, "p": 0.8}),
                     "path.csv",
-                    "e48eccd907bf19641bc85daec05eeca605592a071adec35601c56ad656735662"),
+                    "8e3702e9ce72d7283b8bd7785a8205b7cf814a5f328e5993ad4eb948c378c464"),
     "oracle-i": ("oracle", _doc(FIG1, 1.0, 20, 200), "oracle.csv",
                  "f78f9d57b4ac395f6cc52590e78e1ebc43bce5fbe31d9bbecfe0dc7c93141cd7"),
     "oracle-ii": ("oracle", _doc(FIG3, 1.0, 20, 200), "oracle.csv",

@@ -19,7 +19,7 @@ from meanreflect.harness import (
     loglog_fit,
     skorokhod_report,
 )
-from meanreflect.model import linear_constraint
+from meanreflect.model import KINDS, linear_constraint
 from meanreflect.oracle import CASES, exact_case_i
 from meanreflect import harness
 from meanreflect.scheme import GridSpec, TrajectoryRecord, simulate
@@ -258,11 +258,36 @@ class TestBuildModel:
     def test_custom_sine_constraint(self):
         cfg = fig1_config(
             case="custom",
-            model_params={"lambda": 1.0, "x0": 2.0},
+            model_params={"lambda": 1.0, "x0": 2.0, "eta": 0.5, "jump": {"law": "dirac"}},
             constraint_params={"kind": "sine", "alpha": 0.3, "p": 0.5},
         )
-        _, constraint = build_model(cfg)
+        model, constraint = build_model(cfg)
         assert constraint.kind == "sine"
+        assert model.jump_size_law == DiracPoint(1.0)  # a dirac law without value: unit marks
+        assert model.compensator(np.zeros(2)) == 0.5
+
+    @pytest.mark.parametrize("case, params, jump, kind", [
+        ("i", {"beta": 1.7, "sigma": 0.9, "eta": 0.7, "lambda": 3.3, "x0": 1.1, "p": 0.6},
+         {"law": "lognormal", "location": 0.0, "scale": 1.0}, "linear"),
+        ("ii", {"a": 2.3, "gamma": 0.8, "theta": 0.37, "lambda": 3.3, "x0": 4.0, "p": 1.3},
+         {"law": "dirac"}, "linear"),
+        ("iii", {"beta": 0.3, "a": 0.7, "sigma": 0.6, "eta": 0.45, "lambda": 1.9,
+                 "x0": 1.2, "p": 0.4, "alpha": 0.6}, {"law": "dirac"}, "sine"),
+    ], ids=["i", "ii", "iii"])
+    def test_custom_config_runs_bit_for_bit_as_builtin_case(self, case, params, jump, kind):
+        """A custom config with a built-in case's coefficients, marks and
+        constraint is that case: the same trajectory, bit for bit."""
+        names = KINDS[kind].params
+        custom = fig1_config(
+            case="custom",
+            model_params={**{k: v for k, v in params.items() if k not in names}, "jump": jump},
+            constraint_params={"kind": kind, **{k: params[k] for k in names}},
+        )
+        grid = GridSpec(1.0, 40)
+        runs = [simulate(*build_model(cfg), grid, 3000, seed=17)
+                for cfg in (custom, fig1_config(case=case, model_params=params))]
+        for name in ("k_hat", "mean_h", "mean_x", "var_x"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
 
     def test_unknown_bits_rejected(self):
         with pytest.raises(ValidationError):
