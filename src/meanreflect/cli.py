@@ -8,7 +8,8 @@ log-log regressions), ``density`` (reflection-density diagnostic), and
 All numeric CSV output uses '.' decimals and 17 significant digits, which
 round-trips 64-bit floats exactly; re-running any subcommand with the same
 config and seed reproduces the files byte for byte, for any value of
-MEANREFLECT_THREADS.
+MEANREFLECT_THREADS. Each run's ``manifest.json`` embeds its config with the
+seed it used, so passing the manifest back to ``--config`` replays the run.
 """
 
 from __future__ import annotations
@@ -73,16 +74,23 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _resolve_seed(args, config: ExperimentConfig, required: bool) -> int:
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if config.seed is not None:
-        return config.seed
-    if required:
+def _load(args, needs: str | None = None, seed_required: bool = False):
+    """Parse the config, fix its seed (``--seed``, else the config's, else 0),
+    check the case has the path ``needs`` names (``"reference"`` or
+    ``"coupled"``) and build the model. Writes nothing, so a refused run
+    leaves no output directory."""
+    config = parse_config(args.config)
+    seed = config.seed if getattr(args, "seed", None) is None else args.seed
+    if seed is None and seed_required:
         raise ValidationError(
             "a seed is mandatory for this subcommand (flag --seed or config 'seed')"
         )
-    return 0
+    config = dataclasses.replace(config, seed=0 if seed is None else seed)
+    if needs == "reference" and config.case not in oracle.CASES:
+        raise ValidationError(f"no reference path for case {config.case!r}")
+    if needs == "coupled":
+        coupled_case(config.case)
+    return (config, *build_model(config))
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -93,14 +101,13 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 
 def _write_manifest(
-    out_dir: Path, command: str, config: ExperimentConfig, seed: int,
-    outputs: list[str],
+    out_dir: Path, command: str, config: ExperimentConfig, outputs: list[str]
 ) -> None:
     manifest = {
         "tool": "meanreflect",
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": config.seed,
         "threads": worker_count(),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config.to_json_dict(),
@@ -137,14 +144,12 @@ def _dump_noise(noise: NoiseRecord, path: Path) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    config = parse_config(args.config)
-    seed = _resolve_seed(args, config, required=False)
+    config, model, constraint = _load(args)
     out_dir = Path(args.out)
     outputs = ["path.csv"] + (["noise trace"] if args.dump_noise else [])
-    model, constraint = build_model(config)
-    _write_manifest(out_dir, "simulate", config, seed, outputs)
+    _write_manifest(out_dir, "simulate", config, outputs)
     grid = config.single_grid()
-    traj = simulate(model, constraint, grid, config.single_particle_count(), seed)
+    traj = simulate(model, constraint, grid, config.single_particle_count(), config.seed)
     _write_csv(
         out_dir / "path.csv",
         ["t", "K_hat", "mean_h", "mean_X", "var_X"],
@@ -161,24 +166,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = parse_config(args.config)
-    spec = oracle.CASES.get(config.case)
-    if spec is None:
-        raise ValidationError(f"no reference solution for case {config.case!r}")
+    config, model, _ = _load(args, needs="reference")
     n_particles = config.single_particle_count()
     if not 0 <= args.particle < n_particles:
         raise ValidationError(
             f"--particle must be in 0..{n_particles - 1}, got {args.particle}"
         )
-    seed = _resolve_seed(args, config, required=False) if spec.coupled else 0
     out_dir = Path(args.out)
-    model, _ = build_model(config)
-    _write_manifest(out_dir, "oracle", config, seed, ["oracle.csv"])
+    _write_manifest(out_dir, "oracle", config, ["oracle.csv"])
     grid = config.single_grid()
+    spec = oracle.CASES[config.case]
     if spec.coupled is None:
         path = spec.reference(model.params, grid)
     else:
-        noise = noise_record(model, grid, n_particles, seed)
+        noise = noise_record(model, grid, n_particles, config.seed)
         path = spec.coupled(noise, model.params, grid, particle=args.particle)
     header = ["t", "K_exact", "meanY"]
     columns = [path.times, path.k_exact, path.mean_y]
@@ -193,25 +194,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    config = parse_config(args.config)
-    seed = _resolve_seed(args, config, required=True)
-    config = dataclasses.replace(config, seed=seed)
+    config, _, _ = _load(args, needs="coupled", seed_required=True)
     out_dir = Path(args.out)
-    # A case without a coupled path or a bad model is rejected before the
-    # manifest is written.
-    coupled_case(config.case)
-    build_model(config)
     _write_manifest(
-        out_dir, "convergence", config, seed,
+        out_dir, "convergence", config,
         ["convergence.csv", "regression.json", "timings.json"],
     )
     table = convergence_sweep(config)
     # Wall-clock readings go into timings.json: CSV outputs must be
     # byte-identical across reruns of the same config and seed.
-    with open(out_dir / "convergence.csv", "w", newline="") as handle:
-        handle.write("n,N,L,E_hat\n")
-        for row in table.rows:
-            handle.write(f"{row.n},{row.N},{row.L},{_fmt(row.e_hat)}\n")
+    _write_csv(
+        out_dir / "convergence.csv", ["n", "N", "L", "E_hat"],
+        [[getattr(row, f) for row in table.rows] for f in ("n", "N", "L", "e_hat")],
+    )
     timings = [
         {"n": row.n, "N": row.N, "runtime_sec": row.runtime_sec}
         for row in table.rows
@@ -247,18 +242,12 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    config = parse_config(args.config)
-    if config.case not in oracle.CASES:
-        raise ValidationError(
-            "the density diagnostic needs a built-in case with a reference path"
-        )
-    seed = _resolve_seed(args, config, required=False)
+    config, model, constraint = _load(args, needs="reference")
     out_dir = Path(args.out)
-    model, constraint = build_model(config)
-    _write_manifest(out_dir, "density", config, seed, ["density.csv"])
+    _write_manifest(out_dir, "density", config, ["density.csv"])
     grid = config.single_grid()
     times, khat = oracle.density_series(
-        model, constraint, grid, config.single_particle_count(), seed
+        model, constraint, grid, config.single_particle_count(), config.seed
     )
     k_path = oracle.exact_k_path(config.case, model.params, grid)
     k_exact = np.diff(k_path) / grid.dt
@@ -271,8 +260,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = parse_config(args.config)
-    model, constraint = build_model(config)
+    _, model, constraint = _load(args)
     report = validate_model(model, constraint)
     print(report.summary())
     return 0 if report.ok else 1

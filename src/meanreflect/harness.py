@@ -305,7 +305,11 @@ def l2_error(
     n_particles: int | None = None,
     threads: int | None = None,
 ) -> float:
-    """Replicated worst-grid-point squared coupling error for one cell."""
+    """Replicated worst-grid-point squared coupling error for one cell.
+
+    ``n`` and ``n_particles`` default to ``grid_steps[0]`` and ``particles[0]``,
+    not to the single-run sizes (fig2.json: N=100, not ``particles`` = 2200).
+    """
     if config.seed is None:
         raise ValidationError("error estimation needs an explicit seed")
     case = coupled_case(config.case)

@@ -192,6 +192,12 @@ class LogNormal:
     def __post_init__(self):
         if self.scale <= 0.0:
             raise ValueError(f"LogNormal scale must be > 0, got {self.scale}")
+        try:
+            self.mean()
+        except OverflowError:
+            raise ValueError(
+                f"LogNormal mean overflows: location={self.location}, scale={self.scale}"
+            ) from None
 
     def from_uniform(self, u: np.ndarray) -> np.ndarray:
         return np.exp(self.location + self.scale * ndtri(u))

@@ -204,6 +204,7 @@ class TestOracleCommand:
             "--out", str(tmp_path / "o"),
         ]) == 1
         assert "--particle must be in 0..9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_case_iii_uncoupled(self, tmp_path, config_dir):
         doc = json.loads((config_dir / "fig5.json").read_text())
@@ -369,6 +370,41 @@ def test_bad_model_writes_no_manifest(tmp_path, capsys, command):
                  "--out", str(tmp_path / "o")]) == 1
     assert "x0=0.0 < p=0.5" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "density"])
+def test_custom_case_without_reference_writes_nothing(tmp_path, capsys, command):
+    assert main([command, "--config", write_config(tmp_path, CUSTOM), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "no reference path for case 'custom'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_lognormal_with_infinite_mean_exits_one(tmp_path, capsys, command):
+    jump = {"law": "lognormal", "scale": 40}
+    doc = dict(CUSTOM, model=dict(CUSTOM["model"], jump=jump))
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--config", write_config(tmp_path, doc)] + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LogNormal mean overflows") and "scale=40.0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, output", [
+    ("simulate", "path.csv"), ("oracle", "oracle.csv"), ("density", "density.csv"),
+])
+def test_manifest_replays_seed_override(tmp_path, command, output):
+    doc = dict(MINIMAL, grid={"T": 1.0, "n": 20}, particles=200, seed=5)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--config", write_config(tmp_path, doc), "--seed", "1",
+                 "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 1
+    assert main([command, "--config", str(first / "manifest.json"),
+                 "--out", str(second)]) == 0
+    assert (first / output).read_bytes() == (second / output).read_bytes()
 
 
 @pytest.mark.parametrize("case", ["iii", "custom"])
