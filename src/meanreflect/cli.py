@@ -8,7 +8,8 @@ log-log regressions), ``density`` (reflection-density diagnostic), and
 All numeric CSV output uses '.' decimals and 17 significant digits, which
 round-trips 64-bit floats exactly; re-running any subcommand with the same
 config and seed reproduces the files byte for byte, for any value of
-MEANREFLECT_THREADS. Each run's ``manifest.json`` embeds its config with the
+MEANREFLECT_THREADS. A run writes only into ``--out`` (exit 1 if it cannot);
+its ``manifest.json`` lists the other files and embeds the config with the
 seed it used, so passing the manifest back to ``--config`` replays the run.
 """
 
@@ -100,6 +101,12 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as handle:
+        json.dump(obj, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _write_manifest(
     out_dir: Path, command: str, config: ExperimentConfig, outputs: list[str]
 ) -> None:
@@ -114,9 +121,7 @@ def _write_manifest(
         "outputs": outputs,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _dump_noise(noise: NoiseRecord, path: Path) -> None:
@@ -129,13 +134,6 @@ def _dump_noise(noise: NoiseRecord, path: Path) -> None:
         (k, i): noise.marks(i, k + 1, np.arange(counts[k, i]))
         for k, i in zip(*np.nonzero(counts))
     }
-    if path.suffix == ".npz":
-        values = [v for m in marks.values() for v in m]
-        np.savez(
-            path, gaussians=gaussians, counts=counts,
-            jump_values=np.asarray(values),
-        )
-        return
     with open(path, "w", newline="") as handle:
         handle.write("step,particle,gaussian,count,sizes\n")
         for (k, i), g in np.ndenumerate(gaussians):
@@ -146,7 +144,7 @@ def _dump_noise(noise: NoiseRecord, path: Path) -> None:
 def _cmd_simulate(args) -> int:
     config, model, constraint = _load(args)
     out_dir = Path(args.out)
-    outputs = ["path.csv"] + (["noise trace"] if args.dump_noise else [])
+    outputs = ["path.csv"] + (["noise.csv"] if args.dump_noise else [])
     _write_manifest(out_dir, "simulate", config, outputs)
     grid = config.single_grid()
     traj = simulate(model, constraint, grid, config.single_particle_count(), config.seed)
@@ -156,7 +154,7 @@ def _cmd_simulate(args) -> int:
         [traj.times, traj.k_hat, traj.mean_h, traj.mean_x, traj.var_x],
     )
     if args.dump_noise:
-        _dump_noise(traj.noise, Path(args.dump_noise))
+        _dump_noise(traj.noise, out_dir / "noise.csv")
     report = skorokhod_report(traj)
     print(
         f"simulate: K_hat(T) = {traj.k_hat[-1]:.6g}, "
@@ -207,29 +205,13 @@ def _cmd_convergence(args) -> int:
         out_dir / "convergence.csv", ["n", "N", "L", "E_hat"],
         [[getattr(row, f) for row in table.rows] for f in ("n", "N", "L", "e_hat")],
     )
-    timings = [
-        {"n": row.n, "N": row.N, "runtime_sec": row.runtime_sec}
-        for row in table.rows
-    ]
-    with open(out_dir / "timings.json", "w") as handle:
-        json.dump(timings, handle, indent=2)
-        handle.write("\n")
-    regression: dict = {
-        "in_particles": {
-            str(n): vars(reg) for n, reg in table.regression_in_particles.items()
-        },
-        "in_steps": {
-            str(N): vars(reg) for N, reg in table.regression_in_steps.items()
-        },
-    }
-    if len(table.regression_in_particles) == 1 and not table.regression_in_steps:
-        only = next(iter(table.regression_in_particles.values()))
-        regression.update(
-            {"slope": only.slope, "intercept": only.intercept, "r2": only.r_squared}
-        )
-    with open(out_dir / "regression.json", "w") as handle:
-        json.dump(regression, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(out_dir / "timings.json", [
+        {"n": row.n, "N": row.N, "runtime_sec": row.runtime_sec} for row in table.rows
+    ])
+    _write_json(out_dir / "regression.json", {
+        "in_particles": {str(n): vars(r) for n, r in table.regression_in_particles.items()},
+        "in_steps": {str(N): vars(r) for N, r in table.regression_in_steps.items()},
+    })
     for n, reg in table.regression_in_particles.items():
         print(
             f"convergence: slope of log E_hat vs log N at n={n}: "
@@ -286,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the particle scheme")
     add_common(p_sim)
     p_sim.add_argument(
-        "--dump-noise", default=None,
-        help="write the full noise trace (.csv or .npz); debug-sized runs only",
+        "--dump-noise", action="store_true",
+        help="also write noise.csv, every draw of the run; debug-sized runs only",
     )
     p_sim.set_defaults(fn=_cmd_simulate)
 
@@ -319,7 +301,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MeanReflectError as exc:

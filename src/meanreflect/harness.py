@@ -46,10 +46,18 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _unknown(where: str, given: dict, known: tuple, owner: str) -> list[str]:
-    """One problem per key of ``given`` outside ``known``."""
-    return [f"{where}.{key} is not a parameter of {owner}"
-            for key in given if key not in known]
+def _fields(where: str, given: dict, owner: str, required=(), optional=(), other=()):
+    """The problems of the JSON object ``given`` at ``where``: each missing
+    ``required`` field, each key outside the three tuples, and each
+    required or optional field that is not a finite number."""
+    numeric = (*required, *optional)
+    return (
+        [f"{where}.{key} is required for {owner}" for key in required if key not in given]
+        + [f"{where}.{key} is not a parameter of {owner}"
+           for key in given if key not in (*numeric, *other)]
+        + [f"{where}.{key} must be a finite number"
+           for key in numeric if key in given and not _is_number(given[key])]
+    )
 
 
 def _is_count(value) -> bool:
@@ -79,6 +87,11 @@ class ExperimentConfig:
           "seed": <u64>,                    # optional; --seed overrides
           "sweep": {"n": [<int>...], "N": [<int>...]}     # optional
         }
+
+    ``model``, ``model.jump`` and ``constraint`` get the same checks: each
+    required field is present, each key is a field of the case, law or
+    kind, and each parameter is a finite number. :func:`build_model` checks
+    the rest, such as the initial condition h(x0) >= 0.
     """
 
     case: str
@@ -95,31 +108,26 @@ class ExperimentConfig:
     def __post_init__(self):
         problems: list[str] = []
         cases = (*oracle_mod.CASES, "custom")
-        case = self.case
+        case, constraint = self.case, self.constraint_params
+        params = self.model_params if isinstance(self.model_params, dict) else {}
         if case not in cases:
             problems.append(f"model.case must be one of {cases}, got {case!r}")
-            case = "custom"
-        params = self.model_params if isinstance(self.model_params, dict) else {}
-        required = oracle_mod.CASES[case].params if case != "custom" else _CUSTOM_PARAMS
-        optional = _CUSTOM_COEFFICIENTS if case == "custom" else ()
-        for name in required:
-            if name not in params:
-                problems.append(f"model.{name} is required for case {case!r}")
-        # Every field collected here must hold a finite number.
-        numbers = {f"model.{n}": params[n] for n in (*required, *optional) if n in params}
-        known = (*required, *optional, "jump") if case == "custom" else required
-        if case == self.case:  # fields are not checked against a case already refused
-            problems += _unknown("model", params, known, f"case {case!r}")
-
-        constraint = self.constraint_params
-        if case == "custom":
+        elif case != "custom":
+            problems += _fields("model", params, f"case {case!r}",
+                                oracle_mod.CASES[case].params)
+            if constraint is not None:
+                problems.append(
+                    f"case {case!r} implies its constraint; remove the 'constraint' object"
+                )
+        else:
+            problems += _fields("model", params, "case 'custom'", _CUSTOM_PARAMS,
+                                _CUSTOM_COEFFICIENTS, other=("jump",))
             jump = params.get("jump", {"law": "dirac"})
             law = jump.get("law") if isinstance(jump, dict) else None
             law_type = _JUMP_LAWS.get(law) if isinstance(law, str) else None
             if law_type is not None:
                 fields = tuple(f.name for f in dataclasses.fields(law_type))
-                numbers.update((f"model.jump.{k}", jump[k]) for k in fields if k in jump)
-                problems += _unknown("model.jump", jump, ("law", *fields), f"law {law!r}")
+                problems += _fields("model.jump", jump, f"law {law!r}", (), fields, ("law",))
             else:
                 problems.append(
                     f"model.jump must be an object with 'law' in {tuple(_JUMP_LAWS)}"
@@ -127,27 +135,13 @@ class ExperimentConfig:
             kind = constraint.get("kind", "linear") if isinstance(constraint, dict) else None
             record = model_mod.KINDS.get(kind) if isinstance(kind, str) else None
             if record is not None:
-                numbers.update(
-                    (f"constraint.{name}", constraint.get(name)) for name in record.params
-                )
-                problems += _unknown(
-                    "constraint", constraint, ("kind", *record.params), f"kind {kind!r}"
-                )
+                problems += _fields("constraint", constraint, f"kind {kind!r}",
+                                    record.params, other=("kind",))
             else:
                 problems.append(
                     "custom case requires a 'constraint' object with 'kind' in "
                     f"{tuple(model_mod.KINDS)}"
                 )
-        elif constraint is not None:
-            problems.append(
-                f"case {case!r} implies its constraint; remove the 'constraint' object"
-            )
-        problems += [
-            f"{where} must be a finite number"
-            for where, value in numbers.items()
-            if not _is_number(value)
-        ]
-
         if not (_is_number(self.horizon) and self.horizon > 0):
             problems.append(f"grid.T must be > 0, got {self.horizon!r}")
         if not _is_count(self.replications):
@@ -242,9 +236,9 @@ class ExperimentConfig:
 def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
     """Instantiate the model/constraint pair a config describes.
 
-    Factory rejections (bad coefficients, violated initial constraint)
-    surface as :class:`ValidationError` so config-driven callers can treat
-    them uniformly.
+    Factory rejections (bad coefficients, a start with h(x0) < 0, custom
+    configs included) surface as :class:`ValidationError` so config-driven
+    callers can treat them uniformly.
     """
     p = config.model_params
     try:
@@ -258,9 +252,9 @@ def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
             float(p["lambda"]), float(p["x0"]), law, **coefficients, params=dict(p)
         )
         kind = model_mod.KINDS[config.constraint_params.get("kind", "linear")]
-        return spec, kind.factory(
-            *(float(config.constraint_params[n]) for n in kind.params)
-        )
+        constraint = kind.factory(*(float(config.constraint_params[n]) for n in kind.params))
+        model_mod.check_initial_mean(constraint, float(p["x0"]))
+        return spec, constraint
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -205,6 +205,13 @@ def affine_model(
     )
 
 
+def check_initial_mean(constraint: Constraint, x0: float) -> None:
+    """Raise ValueError unless E[h(X0)] = h(x0) >= 0 for a start at x0."""
+    h0 = float(constraint.h(x0))
+    if h0 < 0.0:
+        raise ValueError(f"h(x0) = {h0:.6g} < 0: initial mean constraint violated")
+
+
 def make_case_i(
     beta: float, sigma: float, eta: float, lam: float, x0: float, p: float
 ) -> tuple[ModelSpec, Constraint]:
@@ -267,10 +274,7 @@ def make_case_iii(
     if beta <= 0 or a <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
         raise ValueError("case (iii) requires beta, a, sigma, eta, lambda > 0")
     constraint = sine_constraint(alpha, p)
-    if float(constraint.h(x0)) < 0.0:
-        raise ValueError(
-            f"h(x0) = {float(constraint.h(x0)):.6g} < 0: initial mean constraint violated"
-        )
+    check_initial_mean(constraint, x0)
     params = {"beta": beta, "a": a, "sigma": sigma, "eta": eta, "lambda": lam,
               "x0": x0, "p": p, "alpha": alpha}
     spec = affine_model(lam, x0, DiracPoint(), beta=beta, a=a, sigma=sigma, eta=eta,

@@ -55,10 +55,12 @@ class TestParseConfig:
         assert cfg.replications == 1000
         assert cfg.particles == tuple(range(100, 2201, 300))
 
-    def test_all_shipped_configs_parse(self, config_dir):
+    def test_all_shipped_configs_parse(self, config_dir, capsys):
         for name in ("fig1", "fig2", "fig3", "fig4", "fig5"):
             cfg = parse_config(config_dir / f"{name}.json")
             assert cfg.horizon > 0
+            assert main(["validate", "--config", str(config_dir / f"{name}.json")]) == 0
+            assert "violations: 0," in capsys.readouterr().out, name
 
     def test_zero_steps_rejected(self, tmp_path):
         doc = dict(MINIMAL, grid={"T": 1.0, "n": 0})
@@ -157,27 +159,13 @@ class TestSimulateCommand:
     def test_dump_noise_csv(self, tmp_path):
         doc = dict(MINIMAL, grid={"T": 0.1, "n": 3}, particles=4)
         cfg = write_config(tmp_path, doc)
-        trace = tmp_path / "noise.csv"
         main([
             "simulate", "--config", cfg, "--seed", "1",
-            "--out", str(tmp_path / "o"), "--dump-noise", str(trace),
+            "--out", str(tmp_path / "o"), "--dump-noise",
         ])
-        lines = trace.read_text().splitlines()
+        lines = (tmp_path / "o" / "noise.csv").read_text().splitlines()
         assert lines[0] == "step,particle,gaussian,count,sizes"
         assert len(lines) == 1 + 3 * 4
-
-    def test_dump_noise_npz(self, tmp_path):
-        doc = dict(MINIMAL, grid={"T": 0.1, "n": 3}, particles=4)
-        cfg = write_config(tmp_path, doc)
-        trace = tmp_path / "noise.npz"
-        main([
-            "simulate", "--config", cfg, "--seed", "1",
-            "--out", str(tmp_path / "o"), "--dump-noise", str(trace),
-        ])
-        bundle = np.load(trace)
-        assert bundle["gaussians"].shape == (3, 4)
-        assert bundle["counts"].shape == (3, 4)
-        assert bundle["jump_values"].size == int(bundle["counts"].sum())
 
 
 class TestOracleCommand:
@@ -251,8 +239,8 @@ class TestConvergenceCommand:
         assert lines[0] == "n,N,L,E_hat"
         assert len(lines) == 4
         regression = json.loads((out / "regression.json").read_text())
-        assert "slope" in regression
-        assert "20" in regression["in_particles"]
+        assert set(regression) == {"in_particles", "in_steps"}
+        assert isinstance(regression["in_particles"]["20"]["slope"], float)
         timings = json.loads((out / "timings.json").read_text())
         assert [t["N"] for t in timings] == [50, 100, 200]
         assert all(t["runtime_sec"] > 0 for t in timings)
@@ -302,7 +290,7 @@ class TestValidateCommand:
 
     def test_sine_constraint_without_alpha_rejected(self, tmp_path, capsys):
         doc = dict(CUSTOM, constraint={"kind": "sine", "p": 0.5})
-        assert "constraint.alpha must be a finite number" in self.validate_error(
+        assert "constraint.alpha is required for kind 'sine'" in self.validate_error(
             tmp_path, capsys, doc
         )
 
@@ -390,6 +378,38 @@ def test_lognormal_with_infinite_mean_exits_one(tmp_path, capsys, command):
     assert err.startswith("error: LogNormal mean overflows") and "scale=40.0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_custom_start_below_constraint_exits_one(tmp_path, capsys, command):
+    # the paper's initial condition E[h(X0)] >= 0 binds custom configs too
+    doc = dict(CUSTOM, model={"case": "custom", "lambda": 1.0, "x0": 0.0, "sigma": 1.0})
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--config", write_config(tmp_path, doc)] + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: h(x0) = -0.5 < 0") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file_exits_one(tmp_path, capsys):
+    (tmp_path / "o").write_text("not a directory")
+    assert main(["simulate", "--config", write_config(tmp_path, MINIMAL), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["simulate", "--dump-noise"], ["oracle"], ["density"], ["convergence"],
+], ids=["simulate", "simulate_dump_noise", "oracle", "density", "convergence"])
+def test_manifest_lists_every_output(tmp_path, argv):
+    doc = dict(MINIMAL, grid={"T": 1.0, "n": 10}, particles=50, replications=2,
+               sweep={"N": [20, 40]})
+    out = tmp_path / "o"
+    assert main([argv[0], "--config", write_config(tmp_path, doc), "--seed", "1",
+                 "--out", str(out), *argv[1:]]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
 @pytest.mark.parametrize("command, output", [
