@@ -64,12 +64,34 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_bytes_pinned(name, tmp_path):
-    command, doc, filename, want = GOLDEN[name]
+# Above parallel.MIN_CHUNK_ITEMS particles, so each step's noise is drawn in
+# chunks on worker threads when more than one is allowed; the same bytes are
+# pinned under one and two threads.
+THREADED = {
+    "path-i-N20000": ("simulate", _doc(FIG1, 1.0, 5, 20000), "path.csv",
+                      "9c2eaa589b911d3774bae01076ae6575d8180d800ca288d71dccacb833a6d5fe"),
+    "path-iii-N20000": ("simulate", _doc(FIG5, 15.0, 5, 20000), "path.csv",
+                        "d155d35e839179d6cfd02e4bf264af38204f5e4df07d50686ee7d43b216ff2b6"),
+}
+
+
+def _run(case, tmp_path):
+    command, doc, filename, want = case
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--seed", "7",
                  "--out", str(out)]) == 0
     assert hashlib.sha256((out / filename).read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_pinned(name, tmp_path):
+    _run(GOLDEN[name], tmp_path)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(THREADED))
+def test_threaded_output_bytes_pinned(name, threads, tmp_path, monkeypatch):
+    monkeypatch.setenv("MEANREFLECT_THREADS", threads)
+    _run(THREADED[name], tmp_path)
