@@ -8,9 +8,10 @@ log-log regressions), ``density`` (reflection-density diagnostic), and
 All numeric CSV output uses '.' decimals and 17 significant digits, which
 round-trips 64-bit floats exactly; re-running any subcommand with the same
 config and seed reproduces the files byte for byte, for any value of
-MEANREFLECT_THREADS. A run writes only into ``--out`` (exit 1 if it cannot);
-its ``manifest.json`` lists the other files and embeds the config with the
-seed it used, so passing the manifest back to ``--config`` replays the run.
+MEANREFLECT_THREADS. A run writes only into a new or empty ``--out`` (exit 1
+if it cannot); its ``manifest.json`` lists the other files and embeds the
+config with the seed it used, so passing the manifest back to ``--config``
+replays the run.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, oracle
 from .errors import ConfigError, MeanReflectError, ParseError, ValidationError
@@ -110,12 +112,18 @@ def _write_json(path: Path, obj) -> None:
 def _write_manifest(
     out_dir: Path, command: str, config: ExperimentConfig, outputs: list[str]
 ) -> None:
+    # Files of an earlier run would sit beside a manifest that does not list them.
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise ValidationError(f"--out {out_dir} is not empty; give a new or empty directory")
     manifest = {
         "tool": "meanreflect",
         "version": __version__,
         "command": command,
         "seed": config.seed,
         "threads": worker_count(),
+        # Byte identity depends on them: numpy's uint64 arithmetic, scipy's ndtri.
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config.to_json_dict(),
         "outputs": outputs,

@@ -1,23 +1,25 @@
 """Reproducible random-variate generation with counter-based substreams.
 
 Every draw is a pure function of its key ``(seed, particle, step, channel,
-sub)``. The key is hashed through Philox4x32-10, a counter-based generator
-designed for exactly this access pattern, so
+sub)``. The key is hashed through Philox4x32-10 (Salmon et al., SC'11), a
+counter-based generator designed for exactly this access pattern and checked
+against the Random123 known answers, so
 
 * the same key always yields the same draw,
 * distinct keys yield statistically independent draws, and
 * any subset of draws can be regenerated in any order, by any number of
   workers, with bit-identical results.
 
-The draw functions take the particle, step and sub indices as arrays that
-broadcast like numpy operands, one draw per broadcast element; scalars are
-the one-element case. :class:`NoiseRecord` is the checked view of one
-run's share of the key space.
+The draw functions take particle, step and sub indices that broadcast like
+numpy operands, one draw per broadcast element. :class:`NoiseRecord` is
+the checked view of one run's share of the key space.
 
 Variates are produced by inverse transform from a single uniform per key:
 Gaussians through the normal quantile, Poisson counts through CDF
 inversion, jump marks through the law's quantile function. This keeps the
 consumption per key fixed, which is what makes replay order-independent.
+The kernels get their speed from in-place Philox rounds and from Poisson
+terms over the still-active lanes only, never from changing a draw.
 
 Expectations over a law use no draws at all: each law carries one fixed
 quadrature rule, and :func:`expect` is the single place that applies it.
@@ -37,11 +39,10 @@ from scipy.special import ndtri
 from .errors import NoiseMismatch
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _PHILOX_M0 = np.uint64(0xD2511F53)
 _PHILOX_M1 = np.uint64(0xCD9E8D57)
-_PHILOX_W0 = np.uint64(0x9E3779B9)
-_PHILOX_W1 = np.uint64(0xBB67AE85)
+_PHILOX_W0 = 0x9E3779B9  # key schedule, on Python ints
+_PHILOX_W1 = 0xBB67AE85
 _SHIFT32 = np.uint64(32)
 
 #: Poisson means at or below this use the explicit CDF inversion loop;
@@ -61,44 +62,35 @@ class Channel(IntEnum):
 
 
 def _philox4x32(c0, c1, c2, c3, k0, k1):
-    """Philox4x32-10 block function on uint64 arrays holding 32-bit lanes."""
-    c0, c1, c2, c3, k0, k1 = np.broadcast_arrays(
-        np.asarray(c0, np.uint64),
-        np.asarray(c1, np.uint64),
-        np.asarray(c2, np.uint64),
-        np.asarray(c3, np.uint64),
-        np.asarray(k0, np.uint64),
-        np.asarray(k1, np.uint64),
-    )
-    k0 = k0.copy()
-    k1 = k1.copy()
-    for _ in range(10):
+    """Philox4x32-10 block function on uint64 arrays holding 32-bit lanes.
+
+    Counter words broadcast like numpy operands; keys are scalars, and round
+    r uses key ``k + r * W mod 2**32``. Each round writes its two fresh
+    products in place (10 array operations, 4 new arrays), never an input.
+    """
+    c0, c1, c2, c3 = np.broadcast_arrays(
+        *(np.asarray(c, np.uint64) for c in (c0, c1, c2, c3)))
+    k0, k1 = int(k0), int(k1)
+    for r in range(10):
         p0 = c0 * _PHILOX_M0
         p1 = c2 * _PHILOX_M1
-        hi0 = p0 >> _SHIFT32
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> _SHIFT32
-        lo1 = p1 & _MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-        k0 = (k0 + _PHILOX_W0) & _MASK32
-        k1 = (k1 + _PHILOX_W1) & _MASK32
+        lo0, lo1 = p0 & _MASK32, p1 & _MASK32
+        p1 >>= _SHIFT32
+        p1 ^= c1
+        p1 ^= np.uint64((k0 + r * _PHILOX_W0) & 0xFFFFFFFF)
+        p0 >>= _SHIFT32
+        p0 ^= c3
+        p0 ^= np.uint64((k1 + r * _PHILOX_W1) & 0xFFFFFFFF)
+        c0, c1, c2, c3 = p1, lo1, p0, lo0
     return c0, c1, c2, c3
 
 
-def _split32(value: int) -> tuple[np.uint64, np.uint64]:
-    value &= _MASK64
-    return np.uint64(value & 0xFFFFFFFF), np.uint64((value >> 32) & 0xFFFFFFFF)
-
-
 def _block(seed: int, particle, step, channel: int, sub):
-    k0, k1 = _split32(int(seed))
+    seed = int(seed) % 2**64
     particle = np.asarray(particle, dtype=np.uint64) & _MASK32
     step = np.asarray(step, dtype=np.uint64) & _MASK32
     sub = np.asarray(sub, dtype=np.uint64) & _MASK32
-    return _philox4x32(particle, step, np.uint64(int(channel)), sub, k0, k1)
+    return _philox4x32(particle, step, int(channel), sub, seed % 2**32, seed >> 32)
 
 
 def uniforms(seed: int, particle, step, channel: Channel, sub=0) -> np.ndarray:
@@ -120,19 +112,24 @@ def gaussians(seed: int, particle, step) -> np.ndarray:
 
 
 def _poisson_inversion(u: np.ndarray, mean: float) -> np.ndarray:
-    """Smallest k with Poisson CDF(k) >= u, by forward summation."""
-    pmf = np.full(u.shape, math.exp(-mean))
-    cdf = pmf.copy()
-    counts = np.zeros(u.shape, dtype=np.int64)
+    """Smallest k with Poisson CDF(k) >= u, by forward summation. Every lane
+    sums the same terms in the same order, so they are Python floats summed
+    once; each term visits only the lanes whose u still exceeds the CDF."""
+    counts = np.zeros(np.shape(u), dtype=np.int64)
+    flat = counts.reshape(-1)
+    pmf = cdf = math.exp(-mean)
+    act = (u > cdf).reshape(-1).nonzero()[0]
+    u = u.reshape(-1)[act]
     # Cap guards against float saturation of the CDF just below 1.
     cap = int(mean + 12.0 * math.sqrt(mean) + 30.0)
-    for _ in range(cap):
-        active = u > cdf
-        if not active.any():
-            break
-        counts[active] += 1
-        pmf[active] *= mean / counts[active]
-        cdf[active] += pmf[active]
+    c = 0
+    while act.size and c < cap:
+        c += 1
+        flat[act] = c
+        pmf *= mean / c
+        cdf += pmf
+        keep = u > cdf
+        act, u = act[keep], u[keep]
     return counts
 
 
@@ -141,8 +138,6 @@ def poisson_counts(seed: int, particle, step, rate_times_dt: float) -> np.ndarra
     if rate_times_dt < 0.0:
         raise ValueError(f"rate_times_dt must be >= 0, got {rate_times_dt}")
     u = uniforms(seed, particle, step, Channel.POISSON_COUNT)
-    if rate_times_dt == 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
     if rate_times_dt <= POISSON_INVERSION_CUTOFF:
         return _poisson_inversion(u, rate_times_dt)
     from scipy import stats  # slow to import; no shipped config gets here
@@ -288,9 +283,13 @@ class NoiseRecord:
         if steps is not None:
             bounds.append(("step", steps, 1, self.n_steps))
         for name, index, lo, hi in bounds:
-            index = np.asarray(index)
-            if index.size and not lo <= index.min() <= index.max() <= hi:
-                bad = index[(index < lo) | (index > hi)].flat[0]
+            if isinstance(index, (int, np.integer)):  # e.g. the step of a scheme call
+                ok = lo <= int(index) <= hi
+            else:
+                index = np.asarray(index)
+                ok = not index.size or lo <= index.min() and index.max() <= hi
+            if not ok:
+                bad = np.asarray(index)[(index < lo) | (index > hi)].flat[0]
                 raise NoiseMismatch(f"{name} {bad} outside {lo}..{hi} of this record")
 
     def gaussians(self, particles, steps) -> np.ndarray:

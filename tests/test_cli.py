@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from meanreflect import cli
 from meanreflect.cli import main, parse_config
@@ -133,6 +134,8 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["config"]["model"]["case"] == "i"
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
@@ -397,6 +400,23 @@ def test_out_naming_a_file_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_reused_out_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(MINIMAL, grid={"T": 0.1, "n": 3}, particles=4))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out),
+                 "--dump-noise"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--seed", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not empty" in captured.err
+    assert not captured.out  # refused before any work
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["simulate", "--config", cfg, "--seed", "4", "--out", str(empty)]) == 0
 
 
 @pytest.mark.parametrize("argv", [

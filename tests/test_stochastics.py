@@ -56,6 +56,91 @@ def test_philox_known_answer_vectors():
         assert tuple(int(w) for w in got) == want
 
 
+def _philox_reference(c0, c1, c2, c3, k0, k1):
+    """The 14-operation round of the original kernel, kept as the oracle."""
+    c0, c1, c2, c3, k0, k1 = np.broadcast_arrays(
+        *(np.asarray(w, np.uint64) for w in (c0, c1, c2, c3, k0, k1)))
+    mask, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    k0, k1 = k0.copy(), k1.copy()
+    for _ in range(10):
+        p0 = c0 * np.uint64(0xD2511F53)
+        p1 = c2 * np.uint64(0xCD9E8D57)
+        hi0, lo0, hi1, lo1 = p0 >> shift, p0 & mask, p1 >> shift, p1 & mask
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0 = (k0 + np.uint64(0x9E3779B9)) & mask
+        k1 = (k1 + np.uint64(0xBB67AE85)) & mask
+    return c0, c1, c2, c3
+
+
+def _poisson_reference(u, mean):
+    """The original masked CDF-inversion loop over every lane, kept as the oracle."""
+    pmf = np.full(u.shape, math.exp(-mean))
+    cdf = pmf.copy()
+    counts = np.zeros(u.shape, dtype=np.int64)
+    for _ in range(int(mean + 12.0 * math.sqrt(mean) + 30.0)):
+        active = u > cdf
+        if not active.any():
+            break
+        counts[active] += 1
+        pmf[active] *= mean / counts[active]
+        cdf[active] += pmf[active]
+    return counts
+
+
+_U64 = np.uint64
+PHILOX_SHAPES = {
+    "scalar": (_U64(7), _U64(3), _U64(1), _U64(0)),
+    "particles": (np.arange(1000, dtype=_U64), _U64(5), _U64(0), _U64(0)),
+    "steps-x-particles": (np.arange(300, dtype=_U64)[None, :],
+                          np.arange(1, 9, dtype=_U64)[:, None], _U64(1), _U64(0)),
+    "sub": (_U64(4), _U64(9), _U64(2), np.arange(64, dtype=_U64)),
+    "full-width": tuple(np.arange(4 * 257, dtype=_U64).reshape(4, 257) * _U64(0x9E3779B1)
+                        & _U64(0xFFFFFFFF)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHILOX_SHAPES))
+def test_philox_matches_reference_round(name):
+    words = PHILOX_SHAPES[name]
+    for key in ((0, 0), (0xA4093822, 0x299F31D0), (0xFFFFFFFF, 0xFFFFFFFF)):
+        got = sto._philox4x32(*words, _U64(key[0]), _U64(key[1]))
+        want = _philox_reference(*words, _U64(key[0]), _U64(key[1]))
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+
+
+def test_philox_leaves_inputs_unmodified():
+    words = [np.arange(100, dtype=_U64) * _U64(k + 1) for k in range(4)]
+    before = [w.copy() for w in words]
+    sto._philox4x32(*words, _U64(3), _U64(5))
+    sto._philox4x32(words[0], _U64(1), _U64(2), words[3], _U64(3), _U64(5))
+    for w, b in zip(words, before):
+        assert np.array_equal(w, b)
+
+
+@pytest.mark.parametrize("mean", [0.05, 0.075, 1.0, 5.0, 10.0])
+def test_poisson_inversion_matches_reference_loop(mean):
+    u = uniforms(2718, np.arange(100_000), 1, Channel.POISSON_COUNT)
+    below_one = 1.0 - np.arange(8) * np.finfo(float).epsneg
+    cap = int(mean + 12.0 * math.sqrt(mean) + 30.0)
+    # Uniforms on and beside each CDF term: a term off by one ulp moves a count.
+    pmf = cdf = math.exp(-mean)
+    terms = [cdf]
+    for k in range(1, cap):
+        pmf *= mean / k
+        cdf += pmf
+        terms.append(cdf)
+    edges = np.concatenate([np.nextafter(terms, 0.0), terms, np.nextafter(terms, 1.0)])
+    edges = edges[edges < 1.0]
+    for v in (u, u.reshape(250, 400), below_one, below_one[3], edges):
+        got = sto._poisson_inversion(v, mean)
+        assert got.shape == np.shape(v)
+        assert np.array_equal(got, _poisson_reference(np.asarray(v), mean))
+    if mean == 10.0:  # the summed CDF saturates below the largest double under 1
+        assert sto._poisson_inversion(below_one, mean)[0] == cap
+
+
 def test_same_key_same_draw():
     key = (123456789, 42, 7)
     assert gaussians(*key) == gaussians(*key)
