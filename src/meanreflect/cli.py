@@ -9,14 +9,15 @@ All numeric CSV output uses '.' decimals and 17 significant digits, which
 round-trips 64-bit floats exactly; re-running any subcommand with the same
 config and seed reproduces the files byte for byte, for any value of
 MEANREFLECT_THREADS. A run writes only into a new or empty ``--out`` (exit 1
-if it cannot); its ``manifest.json`` lists the other files and embeds the
-config with the seed it used, so passing the manifest back to ``--config``
-replays the run.
+if it cannot); its ``manifest.json``, written last and only when the run
+succeeds, lists the other files and embeds the config with the seed it
+used, so passing the manifest back to ``--config`` replays the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import json
@@ -77,11 +78,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _load(args, needs: str | None = None, seed_required: bool = False):
-    """Parse the config, fix its seed (``--seed``, else the config's, else 0),
-    check the case has the path ``needs`` names (``"reference"`` or
-    ``"coupled"``) and build the model. Writes nothing, so a refused run
-    leaves no output directory."""
+def _load(args, seed_required: bool = False):
+    """Parse the config, fix its seed (``--seed``, else the config's, else 0)
+    and build the model, writing nothing: a refused run leaves no output."""
     config = parse_config(args.config)
     seed = config.seed if getattr(args, "seed", None) is None else args.seed
     if seed is None and seed_required:
@@ -89,10 +88,6 @@ def _load(args, needs: str | None = None, seed_required: bool = False):
             "a seed is mandatory for this subcommand (flag --seed or config 'seed')"
         )
     config = dataclasses.replace(config, seed=0 if seed is None else seed)
-    if needs == "reference" and config.case not in oracle.CASES:
-        raise ValidationError(f"no reference path for case {config.case!r}")
-    if needs == "coupled":
-        coupled_case(config.case)
     return (config, *build_model(config))
 
 
@@ -109,9 +104,11 @@ def _write_json(path: Path, obj) -> None:
         handle.write("\n")
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: ExperimentConfig, outputs: list[str]
-) -> None:
+@contextlib.contextmanager
+def _run_dir(out: str, command: str, config: ExperimentConfig, outputs: list[str]):
+    """Create ``out``, which must be new or empty; write its ``manifest.json``
+    only if the ``with`` body succeeds, so that it names no unwritten file."""
+    out_dir = Path(out)
     # Files of an earlier run would sit beside a manifest that does not list them.
     if out_dir.is_dir() and any(out_dir.iterdir()):
         raise ValidationError(f"--out {out_dir} is not empty; give a new or empty directory")
@@ -129,6 +126,7 @@ def _write_manifest(
         "outputs": outputs,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
+    yield out_dir
     _write_json(out_dir / "manifest.json", manifest)
 
 
@@ -151,18 +149,17 @@ def _dump_noise(noise: NoiseRecord, path: Path) -> None:
 
 def _cmd_simulate(args) -> int:
     config, model, constraint = _load(args)
-    out_dir = Path(args.out)
     outputs = ["path.csv"] + (["noise.csv"] if args.dump_noise else [])
-    _write_manifest(out_dir, "simulate", config, outputs)
-    grid = config.single_grid()
-    traj = simulate(model, constraint, grid, config.single_particle_count(), config.seed)
-    _write_csv(
-        out_dir / "path.csv",
-        ["t", "K_hat", "mean_h", "mean_X", "var_X"],
-        [traj.times, traj.k_hat, traj.mean_h, traj.mean_x, traj.var_x],
-    )
-    if args.dump_noise:
-        _dump_noise(traj.noise, out_dir / "noise.csv")
+    with _run_dir(args.out, "simulate", config, outputs) as out_dir:
+        traj = simulate(model, constraint, config.single_grid(),
+                        config.single_particle_count(), config.seed)
+        _write_csv(
+            out_dir / "path.csv",
+            ["t", "K_hat", "mean_h", "mean_X", "var_X"],
+            [traj.times, traj.k_hat, traj.mean_h, traj.mean_x, traj.var_x],
+        )
+        if args.dump_noise:
+            _dump_noise(traj.noise, out_dir / "noise.csv")
     report = skorokhod_report(traj)
     print(
         f"simulate: K_hat(T) = {traj.k_hat[-1]:.6g}, "
@@ -172,27 +169,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config, model, _ = _load(args, needs="reference")
+    config, model, constraint = _load(args)
     n_particles = config.single_particle_count()
     if not 0 <= args.particle < n_particles:
         raise ValidationError(
             f"--particle must be in 0..{n_particles - 1}, got {args.particle}"
         )
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, "oracle", config, ["oracle.csv"])
     grid = config.single_grid()
-    spec = oracle.CASES[config.case]
-    if spec.coupled is None:
-        path = spec.reference(model.params, grid)
-    else:
-        noise = noise_record(model, grid, n_particles, config.seed)
-        path = spec.coupled(noise, model.params, grid, particle=args.particle)
-    header = ["t", "K_exact", "meanY"]
-    columns = [path.times, path.k_exact, path.mean_y]
-    if path.x_exact is not None:
-        header.append("X_exact")
-        columns.append(path.x_exact)
-    _write_csv(out_dir / "oracle.csv", header, columns)
+    path = oracle.reference_path(model, constraint, grid)
+    case = oracle.CASES.get(config.case)
+    with _run_dir(args.out, "oracle", config, ["oracle.csv"]) as out_dir:
+        if case is not None and case.coupled is not None:
+            noise = noise_record(model, grid, n_particles, config.seed)
+            path = case.coupled(noise, model.params, grid, particle=args.particle)
+        header = ["t", "K_exact", "meanY"]
+        columns = [path.times, path.k_exact, path.mean_y]
+        if path.x_exact is not None:
+            header.append("X_exact")
+            columns.append(path.x_exact)
+        _write_csv(out_dir / "oracle.csv", header, columns)
     print(
         f"oracle: K_exact(T) = {path.k_exact[-1]:.6g}, wrote {out_dir / 'oracle.csv'}"
     )
@@ -200,26 +195,24 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    config, _, _ = _load(args, needs="coupled", seed_required=True)
-    out_dir = Path(args.out)
-    _write_manifest(
-        out_dir, "convergence", config,
-        ["convergence.csv", "regression.json", "timings.json"],
-    )
-    table = convergence_sweep(config)
-    # Wall-clock readings go into timings.json: CSV outputs must be
-    # byte-identical across reruns of the same config and seed.
-    _write_csv(
-        out_dir / "convergence.csv", ["n", "N", "L", "E_hat"],
-        [[getattr(row, f) for row in table.rows] for f in ("n", "N", "L", "e_hat")],
-    )
-    _write_json(out_dir / "timings.json", [
-        {"n": row.n, "N": row.N, "runtime_sec": row.runtime_sec} for row in table.rows
-    ])
-    _write_json(out_dir / "regression.json", {
-        "in_particles": {str(n): vars(r) for n, r in table.regression_in_particles.items()},
-        "in_steps": {str(N): vars(r) for N, r in table.regression_in_steps.items()},
-    })
+    config, _, _ = _load(args, seed_required=True)
+    coupled_case(config.case)
+    outputs = ["convergence.csv", "regression.json", "timings.json"]
+    with _run_dir(args.out, "convergence", config, outputs) as out_dir:
+        table = convergence_sweep(config)
+        # Wall-clock readings go into timings.json: CSV outputs must be
+        # byte-identical across reruns of the same config and seed.
+        _write_csv(
+            out_dir / "convergence.csv", ["n", "N", "L", "E_hat"],
+            [[getattr(row, f) for row in table.rows] for f in ("n", "N", "L", "e_hat")],
+        )
+        _write_json(out_dir / "timings.json", [
+            {"n": row.n, "N": row.N, "runtime_sec": row.runtime_sec} for row in table.rows
+        ])
+        _write_json(out_dir / "regression.json", {
+            "in_particles": {str(n): vars(r) for n, r in table.regression_in_particles.items()},
+            "in_steps": {str(N): vars(r) for N, r in table.regression_in_steps.items()},
+        })
     for n, reg in table.regression_in_particles.items():
         print(
             f"convergence: slope of log E_hat vs log N at n={n}: "
@@ -232,16 +225,14 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    config, model, constraint = _load(args, needs="reference")
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, "density", config, ["density.csv"])
+    config, model, constraint = _load(args)
     grid = config.single_grid()
-    times, khat = oracle.density_series(
-        model, constraint, grid, config.single_particle_count(), config.seed
-    )
-    k_path = oracle.exact_k_path(config.case, model.params, grid)
-    k_exact = np.diff(k_path) / grid.dt
-    _write_csv(out_dir / "density.csv", ["t", "k_hat", "k_exact"], [times, khat, k_exact])
+    k_exact = np.diff(oracle.reference_path(model, constraint, grid).k_exact) / grid.dt
+    with _run_dir(args.out, "density", config, ["density.csv"]) as out_dir:
+        times, khat = oracle.density_series(
+            model, constraint, grid, config.single_particle_count(), config.seed
+        )
+        _write_csv(out_dir / "density.csv", ["t", "k_hat", "k_exact"], [times, khat, k_exact])
     print(
         f"density: integral of k_hat dt = {float(np.sum(khat) * grid.dt):.6g}, "
         f"wrote {out_dir / 'density.csv'}"
@@ -312,8 +303,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MeanReflectError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (MeanReflectError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

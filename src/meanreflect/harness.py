@@ -34,10 +34,9 @@ from .stochastics import DiracPoint, LogNormal, derive_seed
 _REPLICATION_PURPOSE = 1
 
 
-# The custom case: required parameters, optional affine coefficients, and
-# the mark laws, whose numeric config fields are their dataclass fields.
+# The custom case: required parameters (the affine coefficients are optional)
+# and the mark laws, whose numeric config fields are their dataclass fields.
 _CUSTOM_PARAMS = ("lambda", "x0")
-_CUSTOM_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
 _JUMP_LAWS = {"lognormal": LogNormal, "dirac": DiracPoint}
 
 
@@ -121,7 +120,7 @@ class ExperimentConfig:
                 )
         else:
             problems += _fields("model", params, "case 'custom'", _CUSTOM_PARAMS,
-                                _CUSTOM_COEFFICIENTS, other=("jump",))
+                                model_mod.AFFINE_COEFFICIENTS, other=("jump",))
             jump = params.get("jump", {"law": "dirac"})
             law = jump.get("law") if isinstance(jump, dict) else None
             law_type = _JUMP_LAWS.get(law) if isinstance(law, str) else None
@@ -247,10 +246,8 @@ def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
             return case.factory(*(p[name] for name in case.params))
         jump = dict(p.get("jump", {"law": "dirac"}))
         law = _JUMP_LAWS[jump.pop("law")](**{k: float(v) for k, v in jump.items()})
-        coefficients = {k: float(p[k]) for k in _CUSTOM_COEFFICIENTS if k in p}
-        spec = model_mod.affine_model(
-            float(p["lambda"]), float(p["x0"]), law, **coefficients, params=dict(p)
-        )
+        coefficients = {k: float(p[k]) for k in model_mod.AFFINE_COEFFICIENTS if k in p}
+        spec = model_mod.affine_model(float(p["lambda"]), float(p["x0"]), law, **coefficients)
         kind = model_mod.KINDS[config.constraint_params.get("kind", "linear")]
         constraint = kind.factory(*(float(config.constraint_params[n]) for n in kind.params))
         model_mod.check_initial_mean(constraint, float(p["x0"]))

@@ -178,6 +178,10 @@ def _affine(c0: float, c1: float) -> Callable:
     return lambda x: c0 + c1 * x
 
 
+#: The coefficient keywords of :func:`affine_model`, each 0 when absent.
+AFFINE_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
+
+
 def affine_model(
     lam: float, x0: float, law: Law, *, beta: float = 0.0, a: float = 0.0,
     sigma: float = 0.0, gamma: float = 0.0, eta: float = 0.0, theta: float = 0.0,
@@ -188,8 +192,8 @@ def affine_model(
         dX = -(beta + a X) dt + (sigma + gamma X) dB + Z (eta + theta X) dN~,
 
     with marks Z from ``law``, jumps at rate ``lam`` and the exact
-    compensator ``(lam*eta*E[Z]) + (lam*theta*E[Z])*x``. ``case`` and
-    ``params`` are kept on the spec for the oracles."""
+    compensator ``(lam*eta*E[Z]) + (lam*theta*E[Z])*x``. ``case``, and
+    ``params`` with every coefficient, lambda and x0, stay on the spec."""
     mark_mean = law.mean()
     jump = _affine(eta, theta)
     return ModelSpec(
@@ -201,7 +205,8 @@ def affine_model(
         initial_law=DiracPoint(x0),
         compensator=_affine(lam * eta * mark_mean, lam * theta * mark_mean),
         case=case,
-        params={} if params is None else params,
+        params={**(params or {}), "beta": beta, "a": a, "sigma": sigma, "gamma": gamma,
+                "eta": eta, "theta": theta, "lambda": lam, "x0": x0},
     )
 
 
@@ -226,9 +231,8 @@ def make_case_i(
         raise ValueError(
             f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
         )
-    params = {"beta": beta, "sigma": sigma, "eta": eta, "lambda": lam, "x0": x0, "p": p}
     spec = affine_model(lam, x0, LogNormal(0.0, 1.0), beta=beta, sigma=sigma, eta=eta,
-                        case="i", params=params)
+                        case="i", params={"p": p})
     return spec, linear_constraint(p)
 
 
@@ -250,9 +254,8 @@ def make_case_ii(
         raise ValueError(
             f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
         )
-    params = {"a": a, "gamma": gamma, "theta": theta, "lambda": lam, "x0": x0, "p": p}
     spec = affine_model(lam, x0, DiracPoint(), a=a, gamma=gamma, theta=theta,
-                        case="ii", params=params)
+                        case="ii", params={"p": p})
     return spec, linear_constraint(p)
 
 
@@ -275,10 +278,8 @@ def make_case_iii(
         raise ValueError("case (iii) requires beta, a, sigma, eta, lambda > 0")
     constraint = sine_constraint(alpha, p)
     check_initial_mean(constraint, x0)
-    params = {"beta": beta, "a": a, "sigma": sigma, "eta": eta, "lambda": lam,
-              "x0": x0, "p": p, "alpha": alpha}
     spec = affine_model(lam, x0, DiracPoint(), beta=beta, a=a, sigma=sigma, eta=eta,
-                        case="iii", params=params)
+                        case="iii", params={"p": p, "alpha": alpha})
     return spec, constraint
 
 

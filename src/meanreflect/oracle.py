@@ -1,23 +1,16 @@
-"""Reference solutions for the built-in cases.
+"""Reference solutions: exact reflection paths and noise-coupled exact paths.
 
-The coupled oracles replay the exact same counter-based noise as a scheme
-run (same Gaussian increments, same jump counts and marks), so the
-difference between an exact path and its scheme counterpart isolates the
-discretization and particle-approximation error.
+The reflection ``K`` of an affine model has one exact reference per
+constraint kind (:func:`reference_path`): a linear constraint, for any
+coefficients with a >= 0 (cases i and ii), and a sine constraint, for
+gamma = theta = 0, a > 0 and Dirac marks (case iii).
 
-Case overview:
-
-* case i   - drifted Brownian motion with compensated lognormal jumps:
-  the reflection is (p + beta*t - x0)^+ and the state has a fully explicit
-  path representation.
-* case ii  - geometric dynamics with multiplicative jumps: reflection
-  starts at t* = (ln x0 - ln p)/a and grows linearly; the state is
-  reconstructed from the unreflected exponential process by a left-point
-  Riemann sum of 1/Y against the reflection increments.
-* case iii - mean-reverting dynamics with a sine-perturbed constraint:
-  only the reflection path is available, through the root of the exact
-  mean-constraint function, whose jump factor is written with the sine and
-  cosine integrals.
+The coupled oracles of cases i and ii replay the exact same counter-based
+noise as a scheme run (same Gaussian increments, same jump counts and
+marks), so the difference between an exact path and its scheme counterpart
+isolates the discretization and particle-approximation error. Case ii's
+state is reconstructed from the unreflected exponential process by a
+left-point Riemann sum of 1/Y against the reflection increments.
 
 The reflection-density estimator turns a particle snapshot into the local
 growth rate of the reflection via the generator of the constraint
@@ -34,8 +27,9 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.special import sici
 
-from .errors import DerivativesMissing, NoiseMismatch
+from .errors import DerivativesMissing, NoiseMismatch, ValidationError
 from .model import (
+    AFFINE_COEFFICIENTS,
     Constraint,
     ModelSpec,
     make_case_i,
@@ -44,7 +38,7 @@ from .model import (
     sine_constraint_root,
 )
 from .scheme import GridSpec, simulate
-from .stochastics import NoiseRecord, expect
+from .stochastics import DiracPoint, NoiseRecord, expect
 
 
 @dataclass
@@ -62,10 +56,11 @@ class OraclePath:
 
 
 def _require(params: Mapping[str, float], *names: str) -> list[float]:
-    missing = [n for n in names if n not in params]
+    """The named parameters as floats; an absent affine coefficient is 0."""
+    missing = [n for n in names if n not in params and n not in AFFINE_COEFFICIENTS]
     if missing:
         raise KeyError(f"missing parameters {missing}")
-    return [float(params[n]) for n in names]
+    return [float(params.get(n, 0.0)) for n in names]
 
 
 def _check_noise(noise: NoiseRecord, grid: GridSpec) -> np.ndarray:
@@ -84,17 +79,19 @@ def _brownian_path(
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
-def _reference_case_i(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
-    beta, x0, p = _require(params, "beta", "x0", "p")
+def _linear_k(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
+    """Exact reflection and unreflected mean under a linear constraint, a >= 0:
+    compensated jumps and dB have zero mean, so dm = -(beta + a m) dt + dK,
+    and K grows at the rate beta + a p once the unreflected mean reaches p."""
+    beta, a, x0, p = _require(params, "beta", "a", "x0", "p")
     t = grid.times()
-    return OraclePath(t, np.maximum(0.0, p + beta * t - x0), mean_y=x0 - beta * t)
-
-
-def _reference_case_ii(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
-    a, x0, p = _require(params, "a", "x0", "p")
-    t = grid.times()
-    t_star = (math.log(x0) - math.log(p)) / a
-    return OraclePath(t, a * p * np.maximum(0.0, t - t_star), mean_y=x0 * np.exp(-a * t))
+    if a == 0.0:
+        return OraclePath(t, np.maximum(0.0, p + beta * t - x0), mean_y=x0 - beta * t)
+    rate, shift = beta + a * p, beta / a
+    # With rate <= 0 the mean decays to -beta/a >= p and never reaches p.
+    t_star = (math.log(x0 + shift) - math.log(p + shift)) / a if rate > 0.0 else math.inf
+    k_exact = max(0.0, rate) * np.maximum(0.0, t - t_star)
+    return OraclePath(t, k_exact, mean_y=mean_y(t, x0, beta, a))
 
 
 def exact_case_i(
@@ -104,7 +101,7 @@ def exact_case_i(
     ``lam*eta*E[Z]``, the product the model's compensator uses."""
     beta, sigma, eta, lam, x0 = _require(params, "beta", "sigma", "eta", "lambda", "x0")
     steps = _check_noise(noise, grid)
-    ref = _reference_case_i(params, grid)
+    ref = _linear_k(params, grid)
     t = ref.times
     b_path = _brownian_path(noise, grid, particle, steps)
     counts = noise.counts(particle, steps)
@@ -128,7 +125,7 @@ def exact_case_ii(
     """
     a, gamma, theta, lam, x0 = _require(params, "a", "gamma", "theta", "lambda", "x0")
     steps = _check_noise(noise, grid)
-    ref = _reference_case_ii(params, grid)
+    ref = _linear_k(params, grid)
     t = ref.times
     b_path = _brownian_path(noise, grid, particle, steps)
     n_path = np.concatenate(
@@ -144,7 +141,8 @@ def exact_case_ii(
 
 
 def exact_case_iii_K(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
-    """Exact reflection path for case iii.
+    """Exact reflection under a sine constraint, for additive noise, a > 0
+    and jumps of the fixed size ``eta``.
 
     With ``d = e^{-at} x`` the discounted push, the constraint mean at time
     t is ``ey + d + alpha*amp*sin(theta + d) - p``: ``ey`` is the mean of
@@ -152,8 +150,10 @@ def exact_case_iii_K(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
     function at 1, the OU Gaussian factor times the exact jump factor
     ``exp(lam int_0^t (e^{i eta e^{-as}} - 1) ds)``, in closed form through
     the sine and cosine integrals. As ``amp <= 1`` the root in ``theta + d``
-    is a sine-constraint root; the discounted running supremum of the
-    positive roots is then accumulated into the reflection.
+    is a sine-constraint root. With ``D`` the running supremum of the
+    positive roots in x, ``K = int e^{-as} dD_s`` is taken by parts,
+    ``e^{-at} D_t + a int_0^t e^{-as} D_s ds``, by the trapezoid rule (second
+    order, where a Stieltjes sum against ``dD`` would be first order in a*dt).
     """
     beta, a, sigma, eta, lam, x0, p, alpha = _require(
         params, "beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"
@@ -163,18 +163,17 @@ def exact_case_iii_K(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
     si, ci = sici(eta * decay)
     si_eta, ci_eta = sici(eta)
     ey = mean_y(t, x0, beta, a)
-    amp = np.exp(
-        sigma**2 * np.expm1(-2.0 * a * t) / (4.0 * a)
-        + lam * ((ci_eta - ci) / a - t)
-    )
+    # Ci(0) = -inf; without jumps the jump factor is exactly 1.
+    jump = lam * ((ci_eta - ci) / a - t) if eta != 0.0 else 0.0
+    amp = np.exp(sigma**2 * np.expm1(-2.0 * a * t) / (4.0 * a) + jump)
     theta = mean_y(t, x0, beta + lam * eta, a) + lam * (si_eta - si) / a
     roots = np.array([
         sine_constraint_root(alpha * g, p - e + th) - th
         for g, e, th in zip(amp, ey, theta)
     ]) / decay
-    kbar = np.maximum.accumulate(np.maximum(0.0, roots))
-    increments = np.diff(np.concatenate(([0.0], kbar)))
-    k_exact = np.cumsum(decay * increments)
+    pushed = decay * np.maximum.accumulate(np.maximum(0.0, roots))
+    area = np.cumsum(0.5 * grid.dt * (pushed[1:] + pushed[:-1]))
+    k_exact = pushed + a * np.concatenate(([0.0], area))
     return OraclePath(times=t, k_exact=k_exact, mean_y=ey)
 
 
@@ -188,16 +187,31 @@ def mean_y(t, x0: float, beta: float, a: float):
     return float(out) if out.ndim == 0 else out
 
 
+def reference_path(model: ModelSpec, constraint: Constraint, grid: GridSpec) -> OraclePath:
+    """The exact reflection path and unreflected mean of ``model`` under
+    ``constraint``; raises ValidationError where the kind has none."""
+    params = {**model.params, **constraint.params}
+    a, gamma, theta, eta = _require(params, "a", "gamma", "theta", "eta")
+    law, kind = model.jump_size_law, constraint.kind
+    if kind == "linear" and a >= 0.0:
+        return _linear_k(params, grid)
+    if kind == "sine" and gamma == theta == 0.0 and a > 0.0 and isinstance(law, DiracPoint):
+        return exact_case_iii_K(dict(params, eta=eta * law.value), grid)
+    raise ValidationError(
+        f"no reference path for a {kind} constraint with a = {a}, gamma = {gamma}, "
+        f"theta = {theta} and {type(law).__name__} marks: a linear one needs a >= 0, "
+        "a sine one a > 0, gamma = theta = 0 and Dirac marks")
+
+
 @dataclass(frozen=True)
 class Case:
-    """One built-in case: its config parameters (in ``factory`` order), the
-    noise-free ``reference(params, grid)`` path, and the noise-coupled
-    ``coupled(noise, params, grid, particle=0)`` path, None if it has none."""
+    """One built-in case: its config parameters (in ``factory`` order) and
+    the noise-coupled ``coupled(noise, params, grid, particle=0)`` path,
+    None if it has none. Its reference is its constraint kind's."""
 
     params: tuple[str, ...]
     factory: Callable[..., tuple[ModelSpec, Constraint]]
-    reference: Callable[[Mapping[str, float], GridSpec], OraclePath]
-    coupled: Callable[..., OraclePath] | None
+    coupled: Callable[..., OraclePath] | None = None
 
 
 #: The built-in cases; adding one means adding a record here. The oracle
@@ -207,20 +221,16 @@ CASES: dict[str, Case] = {
     "i": Case(
         params=("beta", "sigma", "eta", "lambda", "x0", "p"),
         factory=make_case_i,
-        reference=_reference_case_i,
         coupled=lambda *args, **kwargs: exact_case_i(*args, **kwargs),
     ),
     "ii": Case(
         params=("a", "gamma", "theta", "lambda", "x0", "p"),
         factory=make_case_ii,
-        reference=_reference_case_ii,
         coupled=lambda *args, **kwargs: exact_case_ii(*args, **kwargs),
     ),
     "iii": Case(
         params=("beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"),
         factory=make_case_iii,
-        reference=lambda params, grid: exact_case_iii_K(params, grid),
-        coupled=None,
     ),
 }
 
@@ -229,7 +239,8 @@ def exact_k_path(case: str, params: Mapping[str, float], grid: GridSpec) -> np.n
     """Reference reflection path for a built-in case (no noise needed)."""
     if case not in CASES:
         raise ValueError(f"no reference reflection path for case {case!r}")
-    return CASES[case].reference(params, grid).k_exact
+    spec = CASES[case]
+    return reference_path(*spec.factory(*(params[n] for n in spec.params)), grid).k_exact
 
 
 def _jump_generator_term(

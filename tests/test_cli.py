@@ -56,12 +56,15 @@ class TestParseConfig:
         assert cfg.replications == 1000
         assert cfg.particles == tuple(range(100, 2201, 300))
 
-    def test_all_shipped_configs_parse(self, config_dir, capsys):
+    def test_all_shipped_configs_parse(self, config_dir, capsys, tmp_path):
         for name in ("fig1", "fig2", "fig3", "fig4", "fig5"):
             cfg = parse_config(config_dir / f"{name}.json")
             assert cfg.horizon > 0
             assert main(["validate", "--config", str(config_dir / f"{name}.json")]) == 0
             assert "violations: 0," in capsys.readouterr().out, name
+        for name in ("fig1", "fig3", "fig5"):
+            assert main(["oracle", "--config", str(config_dir / f"{name}.json"),
+                         "--out", str(tmp_path / name)]) == 0, name
 
     def test_zero_steps_rejected(self, tmp_path):
         doc = dict(MINIMAL, grid={"T": 1.0, "n": 0})
@@ -365,10 +368,58 @@ def test_bad_model_writes_no_manifest(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["oracle", "density"])
 def test_custom_case_without_reference_writes_nothing(tmp_path, capsys, command):
-    assert main([command, "--config", write_config(tmp_path, CUSTOM), "--seed", "1",
-                 "--out", str(tmp_path / "o")]) == 1
-    assert "no reference path for case 'custom'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    sine = {"kind": "sine", "alpha": 0.5, "p": 0.5}
+    for model, reason in (
+        (dict(CUSTOM["model"], a=1.0, jump={"law": "lognormal"}), "LogNormal marks"),
+        (dict(CUSTOM["model"], a=1.0, gamma=0.5), "gamma = 0.5"),
+    ):
+        doc = dict(CUSTOM, model=model, constraint=sine)
+        assert main([command, "--config", write_config(tmp_path, doc), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no reference path for a sine constraint with ")
+        assert reason in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("builtin, marks, constraint", [
+    ({"case": "i", "beta": 2.0, "sigma": 1.0, "eta": 1.0, "lambda": 5.0, "x0": 1.0,
+      "p": 0.5}, {"law": "lognormal"}, {"kind": "linear"}),
+    ({"case": "ii", "a": 3.0, "gamma": 1.0, "theta": 1.0, "lambda": 2.0, "x0": 4.0,
+      "p": 1.0}, {"law": "dirac"}, {"kind": "linear"}),
+    ({"case": "iii", "beta": 0.01, "a": 0.01, "sigma": 1.0, "eta": 0.1, "lambda": 1.0,
+      "x0": 0.97817754723285288, "p": 1.5707963267948966, "alpha": 0.9},
+     {"law": "dirac"}, {"kind": "sine"}),
+], ids=["i", "ii", "iii"])
+def test_custom_twin_has_the_case_reference(tmp_path, builtin, marks, constraint):
+    # a custom config with a case's coefficients, marks and constraint is an
+    # instance of the same constraint kind's reference
+    params = {k: v for k, v in builtin.items() if k not in ("case", "p", "alpha")}
+    twin = {"case": "custom", **params, "jump": marks}
+    constraint = dict(constraint, **{k: builtin[k] for k in ("p", "alpha") if k in builtin})
+    columns = []
+    for name, doc in (("case", {"model": builtin}),
+                      ("twin", {"model": twin, "constraint": constraint})):
+        doc.update(grid={"T": 15.0 if "alpha" in builtin else 1.0, "n": 30}, particles=20)
+        out = tmp_path / name
+        assert main(["oracle", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                     "--seed", "3", "--out", str(out)]) == 0
+        lines = (out / "oracle.csv").read_text().splitlines()
+        columns.append([",".join(line.split(",")[:3]) for line in lines])
+    assert columns[0] == columns[1]
+
+
+def test_memory_error_exits_two_without_a_manifest(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.8 GiB")
+
+    monkeypatch.setattr(cli, "simulate", out_of_memory)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_config(tmp_path, MINIMAL), "--seed", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "runtime error: Unable to allocate 29.8 GiB\n"
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

@@ -23,6 +23,8 @@ FIG3 = {"case": "ii", "a": 3.0, "gamma": 1.0, "theta": 1.0, "lambda": 2.0,
 CUSTOM = {"case": "custom", "beta": 0.5, "a": 1.0, "sigma": 0.3, "gamma": 0.1,
           "eta": 0.2, "theta": 0.1, "lambda": 2.0, "x0": 1.0,
           "jump": {"law": "lognormal", "location": 0.0, "scale": 0.5}}
+CUSTOM_SINE = {"case": "custom", "beta": 0.5, "a": 1.0, "sigma": 0.3, "eta": 0.2,
+               "lambda": 2.0, "x0": 1.0, "jump": {"law": "dirac", "value": 1.5}}
 FIG5 = {"case": "iii", "beta": 0.01, "a": 0.01, "sigma": 1.0, "eta": 0.1,
         "lambda": 1.0, "x0": FIG5_X0, "p": FIG5_P, "alpha": 0.9}
 
@@ -50,11 +52,21 @@ GOLDEN = {
     "oracle-ii": ("oracle", _doc(FIG3, 1.0, 20, 200), "oracle.csv",
                   "bc5cf3fe0927b17083229138ed628040bb8eb92d7f915771ba25d3c9661c06f6"),
     "oracle-iii": ("oracle", _doc(FIG5, 15.0, 30, 200), "oracle.csv",
-                   "9aeb2112bb895366e184b69e5f12132938c4c866fa4f95ca071612520669e0d8"),
+                   "823fc2eee7a538349ac9a8c2151b0c5b325b71f0705bcd4298ba8d575fcb8459"),
+    "oracle-custom-linear": ("oracle",
+                             _doc(CUSTOM, 1.0, 20, 200,
+                                  constraint={"kind": "linear", "p": 0.5}),
+                             "oracle.csv",
+                             "ca380a5554ae857de27778bf7c1f6bad5ada31b3545f85deb423eb7e36b024c1"),
     "density-i": ("density", _doc(FIG1, 1.0, 20, 500), "density.csv",
                   "470faf994087f5f0d8e9f5f677fb646a4d85f78d4e20503db3bc116df61d276f"),
     "density-iii": ("density", _doc(FIG5, 15.0, 30, 500), "density.csv",
-                    "b6e0895e2d1eaeb52ace4915997c65c76b1a591b862cc2f9d351d0ee408ddade"),
+                    "19a1582a564e80cbdee477a7c99e9c1797d82f369829c0c8e3ff3860a3dbf6d8"),
+    "density-custom-sine": ("density",
+                            _doc(CUSTOM_SINE, 1.0, 20, 500,
+                                 constraint={"kind": "sine", "alpha": 0.5, "p": 0.8}),
+                            "density.csv",
+                            "16c2fa6de3868c29db7c99feed4eb23e2c3b308a8b68e7e9902441da603a611d"),
     "convergence-fig2": (
         "convergence",
         _doc(FIG1, 1.0, 10, 100, replications=3, sweep={"N": [50, 100]}),

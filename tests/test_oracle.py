@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.optimize import bisect
 
-from meanreflect.errors import DerivativesMissing, NoiseMismatch
+from meanreflect.errors import DerivativesMissing, NoiseMismatch, ValidationError
 from meanreflect.model import (
     Constraint,
+    affine_model,
     linear_constraint,
     make_case_i,
     make_case_ii,
@@ -25,6 +26,7 @@ from meanreflect.oracle import (
     exact_case_iii_K,
     exact_k_path,
     mean_y,
+    reference_path,
 )
 from meanreflect.scheme import GridSpec, simulate
 from meanreflect.stochastics import DiracPoint, LogNormal, NoiseRecord
@@ -39,6 +41,13 @@ FIG5 = {
     "beta": 1e-2, "a": 1e-2, "sigma": 1.0, "eta": 0.1, "lambda": 1.0,
     "x0": FIG5_X0, "p": FIG5_P, "alpha": 0.9,
 }
+
+
+def by_parts(t, kbar, a):
+    """K = int e^{-as} dkbar_s = e^{-at} kbar_t + a int_0^t e^{-as} kbar_s ds,
+    the time integral by the trapezoid rule."""
+    pushed = np.exp(-a * t) * kbar
+    return pushed + a * cumulative_trapezoid(pushed, t, initial=0.0)
 
 
 def make_noise(seed: int, grid: GridSpec, n_particles: int, lam: float, law) -> NoiseRecord:
@@ -155,8 +164,7 @@ class TestCaseIII:
         ey = mean_y(t, x0=2.0, beta=params["beta"], a=params["a"])
         roots = np.exp(params["a"] * t) * (params["p"] - ey)
         kbar = np.maximum.accumulate(np.maximum(0.0, roots))
-        incr = np.diff(np.concatenate(([0.0], kbar)))
-        want = np.cumsum(np.exp(-params["a"] * t) * incr)
+        want = by_parts(t, kbar, params["a"])
         assert np.max(np.abs(path.k_exact - want)) < 1e-9
 
     def test_deterministic_case_against_dense_scan(self):
@@ -176,8 +184,7 @@ class TestCaseIII:
             assert np.all(np.diff(vals) > 0.0)
             scan_roots.append(np.interp(0.0, vals, xs))
         kbar = np.maximum.accumulate(np.maximum(0.0, scan_roots))
-        incr = np.diff(np.concatenate(([0.0], kbar)))
-        want = np.cumsum(np.exp(-a * grid.times()) * incr)
+        want = by_parts(grid.times(), kbar, a)
         assert np.max(np.abs(path.k_exact - want)) < 1e-6
 
     @pytest.mark.parametrize("eta, lam", [(0.1, 1.0), (1.0, 3.0)])
@@ -213,12 +220,92 @@ class TestCaseIII:
                        maxiter=2000)
             roots.append(d * math.exp(a * t))
         kbar = np.maximum.accumulate(np.maximum(0.0, roots))
-        incr = np.diff(np.concatenate(([0.0], kbar)))
-        want = np.cumsum(np.exp(-a * grid.times()) * incr)
+        want = by_parts(grid.times(), kbar, a)
         assert want[-1] > 0.1
         got = exact_case_iii_K(params, grid).k_exact
         bound = 1e-8 if a < 1e-4 else 1e-10
         assert np.max(np.abs(got - want)) / np.max(want) < bound
+
+    @pytest.mark.parametrize("eta, lam", [(0.1, 1.0), (1.0, 3.0)])
+    def test_fast_reversion_against_refinement(self, eta, lam):
+        # the time integral of K is second order: against the same reference
+        # on a 32-times finer grid; a Stieltjes sum against the running
+        # supremum gives 1.4e-2 here
+        params = dict(FIG5, a=1.0, eta=eta, **{"lambda": lam})
+        coarse = exact_case_iii_K(params, GridSpec(15.0, 500)).k_exact
+        fine = exact_case_iii_K(params, GridSpec(15.0, 500 * 32)).k_exact[::32]
+        assert np.max(np.abs(coarse - fine)) / np.max(fine) <= 1e-5
+
+
+class TestReferencePath:
+    @pytest.mark.parametrize("coefficients", [
+        {"beta": 1.5, "a": 0.0, "sigma": 1.0, "eta": 1.0, "x0": 1.0, "p": 0.4},
+        {"beta": -0.5, "a": 2.0, "sigma": 1.0, "x0": 3.0, "p": 1.0},
+        {"beta": -3.0, "a": 2.0, "sigma": 1.0, "x0": 3.0, "p": 1.0},
+        {"beta": 0.5, "a": 1.0, "gamma": 0.5, "eta": 0.3, "theta": 0.2, "x0": 2.0,
+         "p": 0.2},
+    ], ids=["a_zero", "a_and_beta", "never_reflects", "gamma_theta"])
+    def test_linear_kind_solves_the_reflected_mean(self, coefficients):
+        # the mean of the affine model solves dm = -(beta + a m) dt + dK
+        # whatever gamma, theta and the marks are; with K's slope on each
+        # grid interval, m must stay >= p and sit at p wherever K grows
+        c = dict(coefficients)
+        x0, p = c.pop("x0"), c.pop("p")
+        model = affine_model(2.0, x0, LogNormal(0.0, 0.5), **c)
+        grid = GridSpec(2.0, 2000)
+        path = reference_path(model, linear_constraint(p), grid)
+        t, k = path.times, path.k_exact
+        slope = np.diff(k) / grid.dt
+
+        def mean(push):
+            def rhs(s, m):
+                k_dot = slope[min(int(s / grid.dt), grid.steps - 1)] if push else 0.0
+                return -(c["beta"] + c["a"] * m) + k_dot
+            return solve_ivp(rhs, (0.0, grid.horizon), [x0], t_eval=t, rtol=1e-10,
+                             atol=1e-12, max_step=grid.dt).y[0]
+
+        assert np.max(np.abs(path.mean_y - mean(push=False))) < 1e-8
+        m = mean(push=True)
+        assert np.all(np.diff(k) >= 0.0)
+        assert np.min(m - p) > -1e-5
+        grows = np.concatenate(([False], np.diff(k) > 0.0))
+        assert np.max(np.abs(m[grows] - p), initial=0.0) < 1e-5
+        if c["beta"] + c["a"] * p <= 0.0:
+            assert np.all(k == 0.0)
+        else:
+            assert k[-1] > 0.1
+
+    def test_sine_kind_without_jumps_is_finite(self):
+        model = affine_model(1.0, FIG5_X0, DiracPoint(), beta=0.01, a=0.5, sigma=1.0)
+        with np.errstate(all="raise"):
+            path = reference_path(model, sine_constraint(0.9, FIG5_P), GridSpec(15.0, 60))
+        tiny = dict(FIG5, a=0.5, eta=1e-9)
+        assert np.all(np.isfinite(path.k_exact)) and path.k_exact[-1] > 0.1
+        want = exact_case_iii_K(tiny, GridSpec(15.0, 60)).k_exact
+        assert np.max(np.abs(path.k_exact - want)) < 1e-8
+
+    def test_sine_kind_scales_the_jump_by_the_mark(self):
+        params = {"beta": 0.01, "a": 0.5, "sigma": 1.0, "eta": 0.2}
+        model = affine_model(1.0, FIG5_X0, DiracPoint(-1.5), **params)
+        grid = GridSpec(15.0, 60)
+        path = reference_path(model, sine_constraint(0.9, FIG5_P), grid)
+        want = exact_case_iii_K(dict(FIG5, **params) | {"eta": 0.2 * -1.5}, grid)
+        assert np.array_equal(path.k_exact, want.k_exact)
+
+    @pytest.mark.parametrize("kind, coefficients, law, reason", [
+        ("linear", {"a": -1.0}, DiracPoint(), "a linear constraint with a = -1.0,"),
+        ("sine", {"a": 1.0, "gamma": 0.5}, DiracPoint(), "gamma = 0.5,"),
+        ("sine", {"a": 1.0}, LogNormal(), "LogNormal marks"),
+        ("sine", {"a": 0.0}, DiracPoint(), "a sine constraint with a = 0.0,"),
+        ("custom", {"a": 1.0}, DiracPoint(), "a custom constraint"),
+    ])
+    def test_refusals_name_the_reason(self, kind, coefficients, law, reason):
+        model = affine_model(1.0, 2.0, law, sigma=1.0, **coefficients)
+        constraint = {"linear": linear_constraint(1.0), "sine": sine_constraint(0.5, 1.0),
+                      "custom": Constraint(h=lambda x: x - 1.0, m=1.0, M=1.0)}[kind]
+        with pytest.raises(ValidationError, match="no reference path for") as excinfo:
+            reference_path(model, constraint, GridSpec(1.0, 4))
+        assert reason in str(excinfo.value)
 
 
 class TestMeanY:
