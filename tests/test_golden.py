@@ -25,6 +25,8 @@ CUSTOM = {"case": "custom", "beta": 0.5, "a": 1.0, "sigma": 0.3, "gamma": 0.1,
           "jump": {"law": "lognormal", "location": 0.0, "scale": 0.5}}
 CUSTOM_SINE = {"case": "custom", "beta": 0.5, "a": 1.0, "sigma": 0.3, "eta": 0.2,
                "lambda": 2.0, "x0": 1.0, "jump": {"law": "dirac", "value": 1.5}}
+# lambda * dt = 3: most cells of a 20-step run draw 3 or more marks.
+MANY_MARKS = {**CUSTOM, "lambda": 60.0}
 FIG5 = {"case": "iii", "beta": 0.01, "a": 0.01, "sigma": 1.0, "eta": 0.1,
         "lambda": 1.0, "x0": FIG5_X0, "p": FIG5_P, "alpha": 0.9}
 
@@ -47,6 +49,16 @@ GOLDEN = {
                          constraint={"kind": "sine", "alpha": 0.5, "p": 0.8}),
                     "path.csv",
                     "8e3702e9ce72d7283b8bd7785a8205b7cf814a5f328e5993ad4eb948c378c464"),
+    "path-many-marks": ("simulate",
+                        _doc(MANY_MARKS, 1.0, 20, 50,
+                             constraint={"kind": "sine", "alpha": 0.5, "p": 0.8}),
+                        "path.csv",
+                        "7c69cd04fed3a6e6359252dd9e93241631b67a71f62e584921e1264a82de58f9"),
+    "noise-many-marks": ("simulate --dump-noise",
+                         _doc(MANY_MARKS, 1.0, 20, 50,
+                              constraint={"kind": "sine", "alpha": 0.5, "p": 0.8}),
+                         "noise.csv",
+                         "1aa8d06ae152a7d87cdacd6e767f02d0f37f707e8e818237b9a5d3774d399c14"),
     "oracle-i": ("oracle", _doc(FIG1, 1.0, 20, 200), "oracle.csv",
                  "f78f9d57b4ac395f6cc52590e78e1ebc43bce5fbe31d9bbecfe0dc7c93141cd7"),
     "oracle-ii": ("oracle", _doc(FIG3, 1.0, 20, 200), "oracle.csv",
@@ -92,7 +104,7 @@ def _run(case, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--seed", "7",
+    assert main([*command.split(), "--config", str(config), "--seed", "7",
                  "--out", str(out)]) == 0
     assert hashlib.sha256((out / filename).read_bytes()).hexdigest() == want
 
