@@ -135,16 +135,13 @@ def _dump_noise(noise: NoiseRecord, path: Path) -> None:
     particles = np.arange(noise.n_particles)
     steps = np.arange(1, noise.n_steps + 1)[:, None]
     gaussians = noise.gaussians(particles, steps)
-    counts = noise.counts(particles, steps)
-    marks = {
-        (k, i): noise.marks(i, k + 1, np.arange(counts[k, i]))
-        for k, i in zip(*np.nonzero(counts))
-    }
+    cells, marks = noise.jumps(particles, steps)
+    per_cell = np.split(marks, np.cumsum(np.bincount(cells, minlength=gaussians.size))[:-1])
     with open(path, "w", newline="") as handle:
         handle.write("step,particle,gaussian,count,sizes\n")
-        for (k, i), g in np.ndenumerate(gaussians):
-            sizes = ";".join(_fmt(v) for v in marks.get((k, i), ()))
-            handle.write(f"{k + 1},{i},{_fmt(g)},{int(counts[k, i])},{sizes}\n")
+        for ((k, i), g), sizes in zip(np.ndenumerate(gaussians), per_cell):
+            row = ";".join(_fmt(v) for v in sizes)
+            handle.write(f"{k + 1},{i},{_fmt(g)},{sizes.size},{row}\n")
 
 
 def _cmd_simulate(args) -> int:

@@ -104,10 +104,7 @@ def exact_case_i(
     ref = _linear_k(params, grid)
     t = ref.times
     b_path = _brownian_path(noise, grid, particle, steps)
-    counts = noise.counts(particle, steps)
-    mark_sums = np.zeros(grid.steps)
-    for k in np.nonzero(counts)[0]:
-        mark_sums[k] = noise.marks(particle, steps[k], np.arange(counts[k])).sum()
+    mark_sums = np.bincount(*noise.jumps(particle, steps), grid.steps)
     jump_path = np.concatenate(([0.0], np.cumsum(eta * mark_sums)))
     compensated = beta + lam * eta * noise.jump_law.mean()
     x_exact = x0 - compensated * t + sigma * b_path + jump_path + ref.k_exact

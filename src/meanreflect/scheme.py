@@ -2,7 +2,8 @@
 
 N coupled particles are advanced on a uniform grid. Each step updates the
 unreflected states U with left-point Euler increments (drift minus jump
-compensator, Brownian increment, summed jump amplitudes), recomputes the
+compensator, Brownian increment, and the jump amplitudes of each particle's
+marks from ``NoiseRecord.jumps``, added left to right), recomputes the
 minimal push g0 of the empirical U-cloud, advances the running supremum,
 and applies the sup increment to every reflected state X. The coupling
 
@@ -134,13 +135,9 @@ class ParticleSystem:
             x = x_prev[lo:hi]
             idx = np.arange(lo, hi)
             g = noise.gaussians(idx, step)
-            counts = noise.counts(idx, step)
-            jump = np.zeros(hi - lo)
-            if counts.any():
-                for j in range(int(counts.max())):
-                    mask = counts > j
-                    marks = noise.marks(idx[mask], step, j)
-                    jump[mask] += model.jump_amplitude(x[mask], marks)
+            cells, marks = noise.jumps(idx, step)
+            amp = np.broadcast_to(model.jump_amplitude(x[cells], marks), marks.shape)
+            jump = np.bincount(cells, amp, hi - lo)  # each cell's marks, left to right
             drift_part = model.drift(x) - model.compensate(x)
             out[lo:hi] = dt * drift_part + sqrt_dt * (model.diffusion(x) * g) + jump
 

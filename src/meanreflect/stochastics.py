@@ -269,7 +269,7 @@ class NoiseRecord:
     arrays like numpy operands and raises :class:`NoiseMismatch` for any
     index outside the record, so ``gaussians(np.arange(N), k)`` is step k
     of the scheme and ``gaussians(i, np.arange(1, n + 1))`` is the path of
-    particle i, bit for bit the same draws.
+    particle i, bit for bit the same draws; :meth:`jumps` keys every mark.
     """
 
     seed: int
@@ -307,6 +307,18 @@ class NoiseRecord:
         self._check(particles, steps)
         u = uniforms(self.seed, particles, steps, Channel.JUMP_SIZE, sub)
         return self.jump_law.from_uniform(u)
+
+    def jumps(self, particles, steps) -> tuple[np.ndarray, np.ndarray]:
+        """Every mark of the broadcast cells in one draw, as ``(cells, marks)``:
+        flat cell indices in C order, mark j of a cell keyed ``sub = j`` and
+        placed j-th among its cell's marks. A call with no jump draws no mark."""
+        counts = self.counts(particles, steps).reshape(-1)
+        cells = np.repeat(np.arange(counts.size), counts)
+        if not cells.size:
+            return cells, np.empty(0)
+        sub = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
+        where = [i.reshape(-1)[cells] for i in np.broadcast_arrays(particles, steps)]
+        return cells, self.marks(*where, sub)
 
     def initial_uniforms(self, particles) -> np.ndarray:
         """Uniforms feeding the initial law of the given particles."""

@@ -87,6 +87,25 @@ class TestCaseI:
         assert np.array_equal(a.x_exact, b.x_exact)
         assert not np.array_equal(a.x_exact, c.x_exact)
 
+    def test_jump_path_sums_each_step_left_to_right(self):
+        # lambda * dt = 4: most steps of a particle sum three or more marks.
+        params = {**FIG1, "lambda": 80.0}
+        beta, sigma, eta, lam, x0 = (params[k] for k in ("beta", "sigma", "eta", "lambda", "x0"))
+        grid = GridSpec(1.0, 20)
+        steps = np.arange(1, grid.steps + 1)
+        noise = make_noise(3, grid, 10, lam, LogNormal())
+        for particle in range(10):
+            path = exact_case_i(noise, params, grid, particle)
+            mark_sums = np.zeros(grid.steps)
+            for k in steps:
+                for j in range(noise.counts(particle, k)):
+                    mark_sums[k - 1] += noise.marks(particle, k, j)
+            b_path = np.cumsum(math.sqrt(grid.dt) * noise.gaussians(particle, steps))
+            want = (x0 - (beta + lam * eta * noise.jump_law.mean()) * path.times
+                    + sigma * np.concatenate(([0.0], b_path))
+                    + np.concatenate(([0.0], np.cumsum(eta * mark_sums))) + path.k_exact)
+            assert np.array_equal(path.x_exact, want), particle
+
     def test_noise_mismatch(self):
         grid = GridSpec(1.0, 50)
         noise = make_noise(1, GridSpec(1.0, 49), 4, 5.0, LogNormal())

@@ -9,6 +9,7 @@ import pytest
 from meanreflect.errors import NonFiniteState
 from meanreflect.model import (
     ModelSpec,
+    affine_model,
     linear_constraint,
     make_case_i,
     make_case_ii,
@@ -47,6 +48,32 @@ def drift_only_model(beta: float, x0: float) -> ModelSpec:
         initial_law=DiracPoint(x0),
         compensator=lambda x: 0.0,
     )
+
+
+def _increments_reference(system: ParticleSystem, step: int) -> np.ndarray:
+    """The original increment: one masked pass per mark rank j < counts.max(),
+    adding mark j of every particle that has one. Kept as the oracle."""
+    model, noise, x = system.model, system.noise, system.X
+    dt, idx = system.grid.dt, np.arange(system.n_particles)
+    g = noise.gaussians(idx, step)
+    counts = noise.counts(idx, step)
+    jump = np.zeros(system.n_particles)
+    for j in range(int(counts.max())):
+        mask = counts > j
+        marks = noise.marks(idx[mask], step, j)
+        jump[mask] += model.jump_amplitude(x[mask], marks)
+    drift_part = model.drift(x) - model.compensate(x)
+    return dt * drift_part + math.sqrt(dt) * (model.diffusion(x) * g) + jump
+
+
+# lambda * dt = 3 on GridSpec(0.25, 5): most particles draw several marks a step.
+MANY_MARKS = {
+    "lognormal-theta": affine_model(60.0, 1.0, LogNormal(0.0, 0.5), beta=0.5, a=1.0,
+                                    sigma=0.3, eta=0.2, theta=0.1),
+    "scalar-amplitude": dataclasses.replace(still_model(), intensity=60.0,
+                                            jump_amplitude=lambda x, z: 0.25,
+                                            jump_size_law=LogNormal(0.0, 0.5)),
+}
 
 
 class TestGridSpec:
@@ -162,6 +189,20 @@ class TestStep:
             exploding, linear_constraint(0.0), GridSpec(1.0, 10), 10, seed=1
         )
         with pytest.raises(NonFiniteState):
+            system.step()
+
+
+class TestJumpSum:
+    @pytest.mark.parametrize("n_particles, threads", [(50, 1), (20_000, 1), (20_000, 2)])
+    @pytest.mark.parametrize("name", sorted(MANY_MARKS))
+    def test_increments_match_masked_passes(self, name, n_particles, threads):
+        system = ParticleSystem(MANY_MARKS[name], linear_constraint(0.5),
+                                GridSpec(0.25, 5), n_particles, seed=3, threads=threads)
+        for step in range(1, 6):
+            counts = system.noise.counts(np.arange(n_particles), step)
+            assert (counts >= 3).mean() > 0.5
+            got = system._increments(system.X, step)
+            assert np.array_equal(got, _increments_reference(system, step)), step
             system.step()
 
 

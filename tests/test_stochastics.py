@@ -1,5 +1,6 @@
 """Counter-based noise: determinism, distributional moments, replay invariance."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -328,6 +329,7 @@ class TestNoiseRecord:
             "gaussians": rec.gaussians,
             "counts": rec.counts,
             "marks": lambda p, k: rec.marks(p, k, 0),
+            "jumps": lambda p, k: np.bincount(rec.jumps(p, k)[0], minlength=np.size(p)),
             "initial_uniforms": lambda p, k: rec.initial_uniforms(p),
         }
         for name, draw in draws.items():
@@ -340,3 +342,35 @@ class TestNoiseRecord:
             for steps in (0, 21, np.arange(0, 5), np.arange(18, 22)):
                 with pytest.raises(NoiseMismatch, match="step"):
                     draw(np.arange(50), steps)
+
+    @pytest.mark.parametrize("particles, steps", [
+        (np.arange(50), 4),
+        (7, np.arange(1, 21)),
+        (np.arange(20)[:, None], np.arange(1, 21)),
+        (np.arange(50), np.arange(1, 21)[:, None]),
+    ], ids=["particles-x-step", "particle-x-steps", "column-x-steps", "particles-x-column"])
+    def test_jumps_key_mark_j_of_a_cell_by_sub_j(self, particles, steps):
+        rec = dataclasses.replace(self.record(), jump_mean=3.0)
+        cells, marks = rec.jumps(particles, steps)
+        want_cells, want_marks = [], []
+        every_p, every_k = np.broadcast_arrays(particles, steps)
+        for cell, (p, k) in enumerate(zip(every_p.flat, every_k.flat)):
+            for j in range(rec.counts(p, k)):
+                want_cells.append(cell)
+                want_marks.append(rec.marks(p, k, j))
+        assert np.bincount(want_cells).max() >= 3
+        assert np.array_equal(cells, want_cells)
+        assert np.array_equal(marks, want_marks)
+
+    def test_jumps_without_a_jump_draw_no_mark(self, monkeypatch):
+        rec = dataclasses.replace(self.record(), jump_mean=0.0)
+        channels = []
+
+        def spy(seed, particle, step, channel, sub=0):
+            channels.append(channel)
+            return uniforms(seed, particle, step, channel, sub)
+
+        monkeypatch.setattr(sto, "uniforms", spy)
+        cells, marks = rec.jumps(np.arange(50), np.arange(1, 21)[:, None])
+        assert cells.shape == marks.shape == (0,)
+        assert channels == [Channel.POISSON_COUNT]
