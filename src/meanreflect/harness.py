@@ -28,10 +28,14 @@ from . import oracle as oracle_mod
 from .errors import DegenerateAbscissae, ValidationError
 from .model import Constraint, ModelSpec
 from .parallel import map_ordered
-from .scheme import GridSpec, TrajectoryRecord, simulate
+from .scheme import GridSpec, TrajectoryRecord, noise_record, simulate
 from .stochastics import DiracPoint, LogNormal, derive_seed
 
 _REPLICATION_PURPOSE = 1
+
+#: Particle lanes (rows x N) one batch of replications advances at once,
+#: which bounds a batch's memory; a cell with N above it runs one row at a time.
+BATCH_LANES = 2**17
 
 
 # The custom case: required parameters (the affine coefficients are optional)
@@ -300,6 +304,13 @@ def l2_error(
 
     ``n`` and ``n_particles`` default to ``grid_steps[0]`` and ``particles[0]``,
     not to the single-run sizes (fig2.json: N=100, not ``particles`` = 2200).
+
+    The replications advance in batches of ``max(1, min(L, BATCH_LANES // N))``
+    rows, each batch one ``simulate`` call over a ``(rows, N)`` cloud. Each
+    replication's exact path is then replayed from its own seed through
+    :func:`~meanreflect.parallel.map_ordered`, and ``E_hat`` is the mean of
+    the L errors in replication order: bit for bit the value of L separate
+    runs, for any batch size and worker count.
     """
     if config.seed is None:
         raise ValidationError("error estimation needs an explicit seed")
@@ -308,22 +319,32 @@ def l2_error(
     grid = GridSpec(config.horizon, config.grid_steps[0] if n is None else n)
     n_particles = config.particles[0] if n_particles is None else n_particles
 
-    def coupled_error(seed: int) -> float:
-        x_scheme = np.empty(grid.steps + 1)
+    def tracked_paths(seeds: list[int]) -> np.ndarray:
+        """Particle 0 of each seed's run, one row per seed."""
+        x_scheme = np.empty((len(seeds), grid.steps + 1))
 
         def observe(k: int, X: np.ndarray) -> None:
-            x_scheme[k] = X[0]
+            x_scheme[:, k] = X[:, 0]
 
-        traj = simulate(
-            model, constraint, grid, n_particles, seed, observe=observe, threads=threads
-        )
-        path = case.coupled(traj.noise, model.params, grid, particle=0)
+        simulate(model, constraint, grid, n_particles, seeds, observe=observe,
+                 threads=threads)
+        return x_scheme
+
+    def coupled_error(replication: tuple[int, np.ndarray]) -> float:
+        seed, x_scheme = replication
+        noise = noise_record(model, grid, n_particles, seed)
+        path = case.coupled(noise, model.params, grid, particle=0)
         diff = path.x_exact - x_scheme
         return float(np.max(diff * diff))
 
     L = config.replications
     seeds = [derive_seed(config.seed, l, _REPLICATION_PURPOSE) for l in range(L)]
-    return float(np.mean(map_ordered(coupled_error, seeds)))
+    rows = max(1, min(L, BATCH_LANES // n_particles))
+    errors: list[float] = []
+    for lo in range(0, L, rows):
+        batch = seeds[lo:lo + rows]
+        errors += map_ordered(coupled_error, list(zip(batch, tracked_paths(batch))))
+    return float(np.mean(errors))
 
 
 def loglog_fit(points: Sequence[tuple[float, float]]) -> RegressionResult:

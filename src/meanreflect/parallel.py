@@ -2,9 +2,12 @@
 
 Parallelism never changes results: particle work is chunked over disjoint
 index ranges whose values depend only on (seed, particle, step), and
-reductions are always performed by a single numpy call over the full array.
+reductions are always performed by a single numpy call over a full row.
 Only :func:`run_chunked` runs work on threads, on one long-lived pool per
-worker count. Replications run in order on the calling thread through
+worker count; a batch of replications is one ``(rows, N)`` state whose
+chunks hold every row, so the threshold counts lanes (rows x N), and a
+batch is bit for bit its rows run one at a time. Each replication's
+oracle replay then runs in order on the calling thread through
 :func:`map_ordered`, the per-replication seam the benchmark tracer wraps.
 """
 
@@ -61,16 +64,19 @@ os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def run_chunked(
-    work: Callable[[int, int], None], n_items: int, threads: int | None = None
+    work: Callable[[int, int], None], n_items: int, threads: int | None = None,
+    rows: int = 1,
 ) -> None:
     """Run ``work(lo, hi)`` over disjoint chunks of ``range(n_items)``.
 
     ``threads`` defaults to :func:`worker_count`. ``work`` must write only
     to slice ``[lo:hi]`` of its outputs, so the result is independent of
-    scheduling.
+    scheduling. Each item spans ``rows`` lanes (the rows of a batch, all
+    in every chunk), and the work is split only from ``MIN_CHUNK_ITEMS``
+    lanes on.
     """
     threads = worker_count() if threads is None else threads
-    if threads <= 1 or n_items < MIN_CHUNK_ITEMS:
+    if threads <= 1 or rows * n_items < MIN_CHUNK_ITEMS:
         work(0, n_items)
         return
     pool = _pool(threads)
@@ -83,7 +89,9 @@ def run_chunked(
 def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """Apply ``fn`` to each item in order on the calling thread.
 
-    This is the per-replication seam the benchmark tracer wraps; the
-    particle work inside each call is what runs on threads.
+    This is the per-replication seam the benchmark tracer wraps: the error
+    harness advances a batch of replications as one ``(rows, N)`` cloud,
+    then replays each replication's exact path through it. The particle
+    work of the batch is what runs on threads.
     """
     return [fn(item) for item in items]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable, Union
 
@@ -61,36 +61,54 @@ class Channel(IntEnum):
     DERIVE = 4
 
 
+#: The key schedule's Weyl increments of rounds 0..9: round r adds r * W.
+_WEYL0 = np.arange(10, dtype=np.uint64) * np.uint64(_PHILOX_W0)
+_WEYL1 = np.arange(10, dtype=np.uint64) * np.uint64(_PHILOX_W1)
+
+
 def _philox4x32(c0, c1, c2, c3, k0, k1):
     """Philox4x32-10 block function on uint64 arrays holding 32-bit lanes.
 
-    Counter words broadcast like numpy operands; keys are scalars, and round
-    r uses key ``k + r * W mod 2**32``. Each round writes its two fresh
-    products in place (10 array operations, 4 new arrays), never an input.
+    Counter words and keys broadcast like numpy operands: a key is a scalar,
+    or an array such as one ``(rows, 1)`` key per row of a batch. Round r
+    uses key ``k + r * W mod 2**32`` (keys are below 2**32, so the uint64
+    sum is exact). Round 0 reads the inputs into fresh words of the
+    broadcast shape; every later round writes its two products over the
+    words they consume and its two low halves into the two words the round
+    before left free, so a block allocates six arrays and never writes an
+    input. A 0-d block stays on numpy scalars.
     """
-    c0, c1, c2, c3 = np.broadcast_arrays(
-        *(np.asarray(c, np.uint64) for c in (c0, c1, c2, c3)))
-    k0, k1 = int(k0), int(k1)
+    c0, c1, c2, c3 = (np.asarray(c, np.uint64) for c in (c0, c1, c2, c3))
+    shape = np.broadcast(c0, c1, c2, c3, k0).shape
+    keys0 = np.add.outer(_WEYL0, k0) & _MASK32  # keys0[r]: round r's key, k0's shape
+    keys1 = np.add.outer(_WEYL1, k1) & _MASK32
+    fresh = (lambda: np.empty(shape, np.uint64)) if shape else (lambda: None)
+    own = False  # whether c0..c3 are this block's own words
+    free = fresh(), fresh()
     for r in range(10):
-        p0 = c0 * _PHILOX_M0
-        p1 = c2 * _PHILOX_M1
-        lo0, lo1 = p0 & _MASK32, p1 & _MASK32
+        p0 = np.multiply(c0, _PHILOX_M0, out=c0 if own else fresh())
+        p1 = np.multiply(c2, _PHILOX_M1, out=c2 if own else fresh())
+        lo0 = np.bitwise_and(p0, _MASK32, out=free[0])
+        lo1 = np.bitwise_and(p1, _MASK32, out=free[1])
         p1 >>= _SHIFT32
         p1 ^= c1
-        p1 ^= np.uint64((k0 + r * _PHILOX_W0) & 0xFFFFFFFF)
+        p1 ^= keys0[r]
         p0 >>= _SHIFT32
         p0 ^= c3
-        p0 ^= np.uint64((k1 + r * _PHILOX_W1) & 0xFFFFFFFF)
+        p0 ^= keys1[r]
+        free = (c1, c3) if own else (fresh(), fresh())
+        own = bool(shape)
         c0, c1, c2, c3 = p1, lo1, p0, lo0
     return c0, c1, c2, c3
 
 
-def _block(seed: int, particle, step, channel: int, sub):
-    seed = int(seed) % 2**64
+def _block(seed, particle, step, channel: int, sub):
+    # An array holds one seed per row (or per lane), already in 0..2**64-1.
+    seed = np.asarray(seed, np.uint64) if np.ndim(seed) else np.uint64(int(seed) % 2**64)
     particle = np.asarray(particle, dtype=np.uint64) & _MASK32
     step = np.asarray(step, dtype=np.uint64) & _MASK32
     sub = np.asarray(sub, dtype=np.uint64) & _MASK32
-    return _philox4x32(particle, step, int(channel), sub, seed % 2**32, seed >> 32)
+    return _philox4x32(particle, step, int(channel), sub, seed & _MASK32, seed >> _SHIFT32)
 
 
 def uniforms(seed: int, particle, step, channel: Channel, sub=0) -> np.ndarray:
@@ -270,9 +288,14 @@ class NoiseRecord:
     index outside the record, so ``gaussians(np.arange(N), k)`` is step k
     of the scheme and ``gaussians(i, np.arange(1, n + 1))`` is the path of
     particle i, bit for bit the same draws; :meth:`jumps` keys every mark.
+
+    ``seed`` is an int, or a uint64 array of seeds that broadcasts against
+    the indices like one more operand: with a ``(rows, 1)`` column of seeds,
+    ``gaussians(np.arange(N), k)`` is step k of ``rows`` runs at once, row r
+    bit for bit the draws of a record with the int seed of row r.
     """
 
-    seed: int
+    seed: int | np.ndarray
     n_steps: int
     n_particles: int
     jump_mean: float  # intensity * dt
@@ -305,20 +328,29 @@ class NoiseRecord:
     def marks(self, particles, steps, sub) -> np.ndarray:
         """The ``sub``-th jump marks, drawn from ``jump_law``."""
         self._check(particles, steps)
-        u = uniforms(self.seed, particles, steps, Channel.JUMP_SIZE, sub)
-        return self.jump_law.from_uniform(u)
+        law = self.jump_law
+        if isinstance(law, DiracPoint):  # every mark is the atom: nothing to hash
+            shapes = (np.shape(i) for i in (self.seed, particles, steps, sub))
+            return np.full(np.broadcast_shapes(*shapes), law.value)
+        return law.from_uniform(uniforms(self.seed, particles, steps, Channel.JUMP_SIZE, sub))
 
     def jumps(self, particles, steps) -> tuple[np.ndarray, np.ndarray]:
         """Every mark of the broadcast cells in one draw, as ``(cells, marks)``:
         flat cell indices in C order, mark j of a cell keyed ``sub = j`` and
-        placed j-th among its cell's marks. A call with no jump draws no mark."""
-        counts = self.counts(particles, steps).reshape(-1)
+        placed j-th among its cell's marks. A call with no jump draws no mark.
+        With a seed per row, the rows are part of the cells and each mark is
+        keyed by its own row's seed."""
+        counts = self.counts(particles, steps)
+        shape, counts = counts.shape, counts.reshape(-1)
         cells = np.repeat(np.arange(counts.size), counts)
         if not cells.size:
             return cells, np.empty(0)
         sub = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
-        where = [i.reshape(-1)[cells] for i in np.broadcast_arrays(particles, steps)]
-        return cells, self.marks(*where, sub)
+        p, k = (np.broadcast_to(i, shape).reshape(-1)[cells] for i in (particles, steps))
+        record = self
+        if np.ndim(self.seed):
+            record = replace(self, seed=np.broadcast_to(self.seed, shape).reshape(-1)[cells])
+        return cells, record.marks(p, k, sub)
 
     def initial_uniforms(self, particles) -> np.ndarray:
         """Uniforms feeding the initial law of the given particles."""

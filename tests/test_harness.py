@@ -23,7 +23,7 @@ from meanreflect.model import KINDS, linear_constraint
 from meanreflect.oracle import CASES, exact_case_i
 from meanreflect import harness
 from meanreflect.scheme import GridSpec, TrajectoryRecord, simulate
-from meanreflect.stochastics import DiracPoint, uniforms, Channel
+from meanreflect.stochastics import DiracPoint, uniforms, Channel, derive_seed
 from meanreflect.model import ModelSpec
 
 FIG1_PARAMS = {
@@ -346,16 +346,61 @@ class TestL2Error:
         assert large < small
 
     def test_replications_run_on_calling_thread(self, monkeypatch):
+        # one simulate call per batch of replications, each on the calling thread
         callers = []
 
         def recording_simulate(*args, **kwargs):
-            callers.append(threading.get_ident())
+            callers.append((threading.get_ident(), len(args[4])))
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(harness, "simulate", recording_simulate)
-        l2_error(fig1_config(replications=4, grid_steps=(5,), particles=(50,)),
+        monkeypatch.setattr(harness, "BATCH_LANES", 100)  # two rows of N = 50
+        l2_error(fig1_config(replications=5, grid_steps=(5,), particles=(50,)),
                  threads=2)
-        assert callers == [threading.get_ident()] * 4
+        me = threading.get_ident()
+        assert callers == [(me, 2), (me, 2), (me, 1)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_particles, rows", [(300, 3), (9000, 2)],
+                             ids=["unchunked", "chunked"])
+    @pytest.mark.parametrize("case", ["i", "ii"])
+    def test_batched_replications_equal_separate_runs(
+            self, monkeypatch, case, n_particles, rows, threads):
+        """l2_error over batches is bit for bit a loop of one simulate call
+        per replication: every replication's error and E_hat. With 9000
+        particles a batch of two rows is above MIN_CHUNK_ITEMS and one row
+        is below it; 7 replications in batches of 3 (or 2) leave a short
+        last batch."""
+        from meanreflect.parallel import MIN_CHUNK_ITEMS
+
+        assert n_particles < MIN_CHUNK_ITEMS
+        assert (rows * n_particles >= MIN_CHUNK_ITEMS) == (n_particles == 9000)
+        params = FIG1_PARAMS if case == "i" else {
+            "a": 3.0, "gamma": 1.0, "theta": 1.0, "lambda": 2.0, "x0": 4.0, "p": 1.0}
+        cfg = fig1_config(case=case, model_params=params, replications=7,
+                          grid_steps=(6,), particles=(n_particles,), seed=11)
+        model, constraint = build_model(cfg)
+        grid = GridSpec(cfg.horizon, 6)
+        want = []
+        for l in range(cfg.replications):
+            seed = derive_seed(cfg.seed, l, harness._REPLICATION_PURPOSE)
+            tracked = np.empty(grid.steps + 1)
+            traj = simulate(model, constraint, grid, n_particles, seed, threads=threads,
+                            observe=lambda k, X: tracked.__setitem__(k, X[0]))
+            path = CASES[case].coupled(traj.noise, model.params, grid, particle=0)
+            want.append(float(np.max((path.x_exact - tracked) ** 2)))
+
+        got = []
+
+        def recording_map(fn, items):
+            got.extend(map(fn, items))
+            return got[-len(items):]
+
+        monkeypatch.setattr(harness, "BATCH_LANES", rows * n_particles)
+        monkeypatch.setattr(harness, "map_ordered", recording_map)
+        e_hat = l2_error(cfg, threads=threads)
+        assert got == want
+        assert e_hat == float(np.mean(want))
 
     def test_chunked_replications_thread_count_invariant(self):
         # N above MIN_CHUNK_ITEMS, so every step of every replication is chunked

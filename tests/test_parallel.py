@@ -71,3 +71,13 @@ def test_concurrent_callers_share_the_pool():
     assert len(done) == 4
     for run in runs:
         assert np.array_equal(run.result(), expected)
+
+
+def test_split_threshold_counts_lanes():
+    # a batch's chunks hold every row, so rows x items is what is compared
+    assert 10_000 < parallel.MIN_CHUNK_ITEMS <= 2 * 10_000
+    for rows, want in ((1, [(0, 10_000)]), (2, [(0, 5000), (5000, 10_000)])):
+        chunks = []
+        parallel.run_chunked(lambda lo, hi: chunks.append((lo, hi)), 10_000, threads=2,
+                             rows=rows)
+        assert sorted(chunks) == want

@@ -13,6 +13,7 @@ from meanreflect.model import (
     linear_constraint,
     make_case_i,
     make_case_ii,
+    make_case_iii,
     validate,
 )
 from meanreflect.scheme import (
@@ -94,14 +95,14 @@ class TestInit:
         system = ParticleSystem(
             still_model(1.0), linear_constraint(0.5), GridSpec(1.0, 10), 100, seed=1
         )
-        assert system.tracker.running_sup == 0.0
+        assert system.running_sup == 0.0
         assert np.all(system.X == 1.0)
 
     def test_dirac_start_on_boundary(self):
         system = ParticleSystem(
             still_model(0.5), linear_constraint(0.5), GridSpec(1.0, 10), 100, seed=1
         )
-        assert system.tracker.running_sup == 0.0
+        assert system.running_sup == 0.0
 
     def test_sampler_start_below_boundary_pushes(self):
         p = 0.5
@@ -119,7 +120,7 @@ class TestInit:
         )
         want = p - system.U.mean()  # closed-form push on the drawn atoms
         assert want > 0
-        assert system.tracker.running_sup == pytest.approx(want, abs=1e-12)
+        assert system.running_sup == pytest.approx(want, abs=1e-12)
 
     def test_lognormal_initial_law_drawn_from_initial_channel(self):
         model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
@@ -214,7 +215,7 @@ class TestSimulate:
         system = ParticleSystem(model, constraint, grid, 500, seed=11)
         delta = system.step()
         assert traj.delta_k[1] == delta
-        assert traj.k_hat[1] == system.tracker.running_sup
+        assert traj.k_hat[1] == system.running_sup
         assert traj.mean_h[1] == system.last_mean_h
 
     def test_coupling_identity_exact(self):
@@ -222,7 +223,7 @@ class TestSimulate:
         system = ParticleSystem(model, constraint, GridSpec(1.0, 20), 300, seed=4)
         for _ in range(20):
             system.step()
-            gap = system.X - (system.U + system.tracker.running_sup)
+            gap = system.X - (system.U + system.running_sup)
             assert np.max(np.abs(gap)) == 0.0
 
     def test_same_seed_bitwise_reproducible(self):
@@ -241,6 +242,43 @@ class TestSimulate:
         four = simulate(model, constraint, grid, 20_000, seed=8, threads=4)
         assert np.array_equal(one.k_hat, four.k_hat)
         assert np.array_equal(one.mean_h, four.mean_h)
+
+    @pytest.mark.parametrize("n_particles, threads", [(40, 1), (9000, 1), (9000, 2)])
+    @pytest.mark.parametrize("name", ["case-i", "case-iii", "many-marks", "bisection"])
+    def test_batch_rows_are_separate_runs(self, name, n_particles, threads):
+        # row r of a batch is the run with seed r, bit for bit: the observed
+        # clouds and every series, also when the batch (not a row) is chunked
+        model, constraint = {
+            "case-i": make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.9),
+            "case-iii": make_case_iii(beta=0.3, a=0.7, sigma=0.6, eta=0.45, lam=1.9,
+                                      x0=1.2, p=1.75, alpha=0.6),
+            "many-marks": (MANY_MARKS["lognormal-theta"], linear_constraint(0.95)),
+            "bisection": (dataclasses.replace(MANY_MARKS["scalar-amplitude"],
+                                              initial_law=LogNormal(0.0, 0.5)),
+                          dataclasses.replace(linear_constraint(1.2), kind="custom")),
+        }[name]
+        grid = GridSpec(0.25, 5)
+        seeds = [7, 2**64 - 1, 12345]
+
+        def run(seed):
+            seen = []
+            traj = simulate(model, constraint, grid, n_particles, seed, threads=threads,
+                            observe=lambda k, X: seen.append(X.copy()))
+            return traj, np.array(seen)
+
+        batch, clouds = run(seeds)
+        assert clouds.shape == (grid.steps + 1, len(seeds), n_particles)
+        for row, seed in enumerate(seeds):
+            single, cloud = run(seed)
+            assert np.array_equal(clouds[:, row], cloud)
+            for field in ("k_hat", "delta_k", "mean_h", "mean_x", "var_x"):
+                assert np.array_equal(getattr(batch, field)[row], getattr(single, field))
+        assert np.all(batch.k_hat[:, -1] > 0.0)  # every row reflects
+
+    def test_batch_needs_a_seed(self):
+        model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
+        with pytest.raises(ValueError, match="at least one seed"):
+            ParticleSystem(model, constraint, GridSpec(1.0, 5), 10, seed=[])
 
     def test_k_hat_monotone_and_complementary(self):
         model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)

@@ -100,15 +100,47 @@ PHILOX_SHAPES = {
 }
 
 
+PHILOX_KEYS = ((0, 0), (0xA4093822, 0x299F31D0), (0xFFFFFFFF, 0xFFFFFFFF))
+
+
 @pytest.mark.parametrize("name", sorted(PHILOX_SHAPES))
 def test_philox_matches_reference_round(name):
     words = PHILOX_SHAPES[name]
-    for key in ((0, 0), (0xA4093822, 0x299F31D0), (0xFFFFFFFF, 0xFFFFFFFF)):
+    for key in PHILOX_KEYS:
         got = sto._philox4x32(*words, _U64(key[0]), _U64(key[1]))
         want = _philox_reference(*words, _U64(key[0]), _U64(key[1]))
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
             assert np.array_equal(g, w)
+    # One key per row, as a leading axis the counter words broadcast against.
+    ndim = max(np.ndim(w) for w in words)
+    k0, k1 = (np.array(k, _U64).reshape(-1, *[1] * ndim) for k in zip(*PHILOX_KEYS))
+    got = sto._philox4x32(*words, k0, k1)
+    for row, key in enumerate(PHILOX_KEYS):
+        want = _philox_reference(*words, _U64(key[0]), _U64(key[1]))
+        for g, w in zip(got, want):
+            assert g.shape == (len(PHILOX_KEYS), *np.shape(w))
+            assert np.array_equal(g[row], w)
+
+
+def test_block_with_row_keys_matches_per_seed_blocks():
+    # the batch layout: a (rows, 1) column of 64-bit seeds against particle
+    # indices, and one seed per lane, as the marks of a batch are keyed
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, derive_seed(7, 3, 1)]
+    column = np.array(seeds, _U64)[:, None]
+    particles = np.arange(300)
+    for channel in Channel:
+        got = sto._block(column, particles, 4, channel, 2)
+        for row, seed in enumerate(seeds):
+            want = sto._block(seed, particles, 4, channel, 2)
+            for g, w in zip(got, want):
+                assert np.array_equal(g[row], w)
+    lanes = np.repeat(np.arange(len(seeds)), 3)
+    sub = np.arange(lanes.size) % 3
+    got = sto._block(np.array(seeds, _U64)[lanes], lanes, 9, Channel.JUMP_SIZE, sub)
+    for lane, row in enumerate(lanes):
+        want = sto._block(seeds[row], row, 9, Channel.JUMP_SIZE, sub[lane])
+        assert [int(g[lane]) for g in got] == [int(w) for w in want]
 
 
 def test_philox_leaves_inputs_unmodified():
@@ -361,6 +393,49 @@ class TestNoiseRecord:
         assert np.bincount(want_cells).max() >= 3
         assert np.array_equal(cells, want_cells)
         assert np.array_equal(marks, want_marks)
+
+    def test_point_mass_marks_hash_nothing(self, monkeypatch):
+        rec = dataclasses.replace(self.record(), jump_mean=3.0, jump_law=DiracPoint(0.25))
+        blocks = []
+        philox = sto._philox4x32
+
+        def counting(*words):
+            blocks.append(np.shape(words[0]))
+            return philox(*words)
+
+        monkeypatch.setattr(sto, "_philox4x32", counting)
+        marks = rec.marks(np.arange(50), 3, np.arange(4)[:, None])
+        assert marks.shape == (4, 50) and np.all(marks == 0.25)
+        assert blocks == []
+        with pytest.raises(NoiseMismatch, match="step"):
+            rec.marks(np.arange(50), 0, 1)
+        cells, marks = rec.jumps(np.arange(50), np.arange(1, 21)[:, None])
+        assert len(blocks) == 1  # the counts; no mark is hashed
+        assert marks.shape == cells.shape and cells.size > 1000
+        assert np.all(marks == 0.25)
+        # the same marks the hashed quantile transform gives
+        u = uniforms(9, np.arange(50), 3, Channel.JUMP_SIZE, 1)
+        assert np.array_equal(rec.marks(np.arange(50), 3, 1), DiracPoint(0.25).from_uniform(u))
+
+    def test_row_seeds_draw_each_row_as_its_own_record(self):
+        seeds = [derive_seed(5, r, 1) for r in range(6)]
+        batch = dataclasses.replace(self.record(), seed=np.array(seeds, np.uint64)[:, None],
+                                    jump_mean=2.0)
+        single = [dataclasses.replace(batch, seed=s) for s in seeds]
+        particles = np.arange(10, 50)
+        for draw in ("gaussians", "counts"):
+            got = getattr(batch, draw)(particles, 7)
+            assert got.shape == (6, 40)
+            for row, rec in enumerate(single):
+                assert np.array_equal(got[row], getattr(rec, draw)(particles, 7)), draw
+        assert np.array_equal(batch.initial_uniforms(particles)[2],
+                              single[2].initial_uniforms(particles))
+        cells, marks = batch.jumps(particles, 7)
+        for row, rec in enumerate(single):
+            want_cells, want_marks = rec.jumps(particles, 7)
+            mine = (cells >= 40 * row) & (cells < 40 * (row + 1))
+            assert np.array_equal(cells[mine] - 40 * row, want_cells)
+            assert np.array_equal(marks[mine], want_marks)
 
     def test_jumps_without_a_jump_draw_no_mark(self, monkeypatch):
         rec = dataclasses.replace(self.record(), jump_mean=0.0)
