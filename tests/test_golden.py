@@ -85,6 +85,12 @@ GOLDEN = {
         "convergence.csv",
         "7726ada4572d9e774213f24c515ef30c1eb903978aaf0a2c0c8e6414d41ed599",
     ),
+    "convergence-fig4": (
+        "convergence",
+        _doc(FIG3, 1.0, 10, 100, replications=3, sweep={"N": [50, 100]}),
+        "convergence.csv",
+        "5fb80125aa5fabfe06e9bf2f0d906fa58994cc980035037e5dca652f25cef8c4",
+    ),
 }
 
 
