@@ -33,7 +33,7 @@ from .harness import (
     ExperimentConfig,
     build_model,
     convergence_sweep,
-    coupled_case,
+    require_coupled_path,
     skorokhod_report,
 )
 from .model import validate as validate_model
@@ -174,11 +174,12 @@ def _cmd_oracle(args) -> int:
         )
     grid = config.single_grid()
     path = oracle.reference_path(model, constraint, grid)
-    case = oracle.CASES.get(config.case)
+    exact_path = oracle.coupled_path(model, constraint)
     with _run_dir(args.out, "oracle", config, ["oracle.csv"]) as out_dir:
-        if case is not None and case.coupled is not None:
+        if exact_path is not None:
             noise = noise_record(model, grid, n_particles, config.seed)
-            path = case.coupled(noise, model.params, grid, particle=args.particle)
+            path = exact_path(noise, {**model.params, **constraint.params}, grid,
+                              particle=args.particle)
         header = ["t", "K_exact", "meanY"]
         columns = [path.times, path.k_exact, path.mean_y]
         if path.x_exact is not None:
@@ -192,8 +193,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    config, _, _ = _load(args, seed_required=True)
-    coupled_case(config.case)
+    config, model, constraint = _load(args, seed_required=True)
+    require_coupled_path(model, constraint)
     outputs = ["convergence.csv", "regression.json", "timings.json"]
     with _run_dir(args.out, "convergence", config, outputs) as out_dir:
         table = convergence_sweep(config)

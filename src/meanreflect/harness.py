@@ -82,7 +82,7 @@ class ExperimentConfig:
     the JSON form (:meth:`from_json_dict`, :meth:`to_json_dict`)::
 
         {
-          "model": {"case": <a key of oracle.CASES>|"custom", ...parameters...},
+          "model": {"case": <a key of model.CASES>|"custom", ...parameters...},
           "constraint": {"kind": <a key of model.KINDS>, ...},  # custom case only
           "grid": {"T": <float>, "n": <int>},
           "particles": <int>,
@@ -110,14 +110,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         problems: list[str] = []
-        cases = (*oracle_mod.CASES, "custom")
+        cases = (*model_mod.CASES, "custom")
         case, constraint = self.case, self.constraint_params
         params = self.model_params if isinstance(self.model_params, dict) else {}
         if case not in cases:
             problems.append(f"model.case must be one of {cases}, got {case!r}")
         elif case != "custom":
             problems += _fields("model", params, f"case {case!r}",
-                                oracle_mod.CASES[case].params)
+                                model_mod.CASES[case].params)
             if constraint is not None:
                 problems.append(
                     f"case {case!r} implies its constraint; remove the 'constraint' object"
@@ -246,7 +246,7 @@ def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
     p = config.model_params
     try:
         if config.case != "custom":
-            case = oracle_mod.CASES[config.case]
+            case = model_mod.CASES[config.case]
             return case.factory(*(p[name] for name in case.params))
         jump = dict(p.get("jump", {"law": "dirac"}))
         law = _JUMP_LAWS[jump.pop("law")](**{k: float(v) for k, v in jump.items()})
@@ -285,13 +285,17 @@ class ResultTable:
     regression_in_steps: dict[int, RegressionResult] = field(default_factory=dict)
 
 
-def coupled_case(name: str) -> oracle_mod.Case:
-    """The built-in case ``name``; raises ValidationError unless it has an
-    exact path coupled to the scheme's noise."""
-    case = oracle_mod.CASES.get(name)
-    if case is None or case.coupled is None:
-        raise ValidationError(f"no exact coupled path for case {name!r}")
-    return case
+def require_coupled_path(model: ModelSpec, constraint: Constraint):
+    """:func:`~meanreflect.oracle.coupled_path`; ValidationError if it is None."""
+    path = oracle_mod.coupled_path(model, constraint)
+    if path is None:
+        given = ", ".join(f"{n} = {model.params.get(n)}"
+                          for n in (*model_mod.AFFINE_COEFFICIENTS, "x0"))
+        raise ValidationError(
+            f"no exact coupled path for a {constraint.kind} constraint with {given} and "
+            f"{model.jump_size_law!r} marks: a linear one needs a = gamma = theta = 0, or "
+            "beta = sigma = eta = 0, a >= 0, x0 > 0 and Dirac marks v with 1 + theta*v > 0")
+    return path
 
 
 def l2_error(
@@ -300,7 +304,8 @@ def l2_error(
     n_particles: int | None = None,
     threads: int | None = None,
 ) -> float:
-    """Replicated worst-grid-point squared coupling error for one cell.
+    """Replicated worst-grid-point squared coupling error for one cell, against
+    the exact path :func:`~meanreflect.oracle.coupled_path` picks for its model.
 
     ``n`` and ``n_particles`` default to ``grid_steps[0]`` and ``particles[0]``,
     not to the single-run sizes (fig2.json: N=100, not ``particles`` = 2200).
@@ -314,8 +319,9 @@ def l2_error(
     """
     if config.seed is None:
         raise ValidationError("error estimation needs an explicit seed")
-    case = coupled_case(config.case)
     model, constraint = build_model(config)
+    exact_path = require_coupled_path(model, constraint)
+    params = {**model.params, **constraint.params}
     grid = GridSpec(config.horizon, config.grid_steps[0] if n is None else n)
     n_particles = config.particles[0] if n_particles is None else n_particles
 
@@ -333,7 +339,7 @@ def l2_error(
     def coupled_error(replication: tuple[int, np.ndarray]) -> float:
         seed, x_scheme = replication
         noise = noise_record(model, grid, n_particles, seed)
-        path = case.coupled(noise, model.params, grid, particle=0)
+        path = exact_path(noise, params, grid, particle=0)
         diff = path.x_exact - x_scheme
         return float(np.max(diff * diff))
 

@@ -99,6 +99,152 @@ def sine_constraint_root(alpha: float, p: float) -> float:
 
 
 @dataclass(frozen=True)
+class ModelSpec:
+    """Coefficients, jump structure and initial law of one model.
+
+    Coefficient callables must accept numpy arrays (or broadcast against
+    them). ``compensator`` is x -> intensity * E_mark[F(x, mark)]; when it
+    is None, :meth:`compensate` takes that expectation by the mark law's
+    quadrature rule (:func:`~meanreflect.stochastics.expect`): 1, 64 or 1024
+    evaluations of F per call for a point, lognormal or quantile-function
+    law.
+    """
+
+    drift: Callable
+    diffusion: Callable
+    jump_amplitude: Callable
+    intensity: float
+    jump_size_law: Law
+    initial_law: Law
+    compensator: Callable | None = None
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.intensity <= 0.0:
+            raise ValueError(f"intensity must be > 0, got {self.intensity}")
+
+    def compensate(self, x):
+        """The jump compensator at x, from the spec's current fields."""
+        if self.compensator is not None:
+            return self.compensator(x)
+        amp = self.jump_amplitude
+        return self.intensity * expect(self.jump_size_law, lambda z: amp(x, z))
+
+
+def _affine(c0: float, c1: float) -> Callable:
+    """x -> c0 + c1*x without its zero terms, so that a constant coefficient
+    stays a Python scalar that broadcasts against the particle array."""
+    if c1 == 0.0:
+        return lambda x: c0
+    if c0 == 0.0:
+        return lambda x: c1 * x
+    return lambda x: c0 + c1 * x
+
+
+#: The coefficient keywords of :func:`affine_model`, each 0 when absent.
+AFFINE_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
+
+
+def affine_model(
+    lam: float, x0: float, law: Law, *, beta: float = 0.0, a: float = 0.0,
+    sigma: float = 0.0, gamma: float = 0.0, eta: float = 0.0, theta: float = 0.0,
+    params: dict | None = None,
+) -> ModelSpec:
+    """The affine jump SDE, started at the point x0:
+
+        dX = -(beta + a X) dt + (sigma + gamma X) dB + Z (eta + theta X) dN~,
+
+    with marks Z from ``law``, jumps at rate ``lam`` and the exact
+    compensator ``(lam*eta*E[Z]) + (lam*theta*E[Z])*x``. ``params``, with
+    every coefficient, lambda and x0 added, stays on the spec."""
+    mark_mean = law.mean()
+    jump = _affine(eta, theta)
+    return ModelSpec(
+        drift=_affine(-beta, -a),
+        diffusion=_affine(sigma, gamma),
+        jump_amplitude=lambda x, z: z * jump(x),
+        intensity=lam,
+        jump_size_law=law,
+        initial_law=DiracPoint(x0),
+        compensator=_affine(lam * eta * mark_mean, lam * theta * mark_mean),
+        params={**(params or {}), "beta": beta, "a": a, "sigma": sigma, "gamma": gamma,
+                "eta": eta, "theta": theta, "lambda": lam, "x0": x0},
+    )
+
+
+def check_initial_mean(constraint: Constraint, x0: float) -> None:
+    """Raise ValueError unless E[h(X0)] = h(x0) >= 0 for a start at x0."""
+    h0 = float(constraint.h(x0))
+    if h0 < 0.0:
+        raise ValueError(f"h(x0) = {h0:.6g} < 0: initial mean constraint violated")
+
+
+def make_case_i(
+    beta: float, sigma: float, eta: float, lam: float, x0: float, p: float
+) -> tuple[ModelSpec, Constraint]:
+    """Drifted Brownian motion with compensated lognormal jumps, linear constraint.
+
+    The affine model with beta, sigma and eta, lognormal(0,1) marks (mean
+    sqrt(e)), and h(x) = x - p.
+    """
+    if beta <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
+        raise ValueError("case (i) requires beta, sigma, eta, lambda > 0")
+    if x0 < p:
+        raise ValueError(
+            f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
+        )
+    spec = affine_model(lam, x0, LogNormal(0.0, 1.0), beta=beta, sigma=sigma, eta=eta,
+                        params={"p": p})
+    return spec, linear_constraint(p)
+
+
+def make_case_ii(
+    a: float, gamma: float, theta: float, lam: float, x0: float, p: float
+) -> tuple[ModelSpec, Constraint]:
+    """Geometric dynamics with multiplicative jumps, linear constraint.
+
+    The affine model with a, gamma and theta, unit Dirac marks, and
+    h(x) = x - p.
+    """
+    if a <= 0 or gamma <= 0 or theta <= 0 or lam <= 0:
+        raise ValueError("case (ii) requires a, gamma, theta, lambda > 0")
+    if p <= 0:
+        raise ValueError(
+            f"p={p} <= 0: the reflection onset time (ln x0 - ln p)/a is undefined"
+        )
+    if x0 < p:
+        raise ValueError(
+            f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
+        )
+    spec = affine_model(lam, x0, DiracPoint(), a=a, gamma=gamma, theta=theta, params={"p": p})
+    return spec, linear_constraint(p)
+
+
+def make_case_iii(
+    beta: float,
+    a: float,
+    sigma: float,
+    eta: float,
+    lam: float,
+    x0: float,
+    p: float,
+    alpha: float,
+) -> tuple[ModelSpec, Constraint]:
+    """Mean-reverting dynamics with unit-mark jumps, sine-perturbed constraint.
+
+    The affine model with beta, a, sigma and eta, unit Dirac marks, and
+    h(x) = x + alpha*sin(x) - p.
+    """
+    if beta <= 0 or a <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
+        raise ValueError("case (iii) requires beta, a, sigma, eta, lambda > 0")
+    constraint = sine_constraint(alpha, p)
+    check_initial_mean(constraint, x0)
+    spec = affine_model(lam, x0, DiracPoint(), beta=beta, a=a, sigma=sigma, eta=eta,
+                        params={"p": p, "alpha": alpha})
+    return spec, constraint
+
+
+@dataclass(frozen=True)
 class ConstraintKind:
     """One constraint kind: its config parameters (in ``factory`` order), its
     factory, and the reflection kernel's view of it. ``reduce(atoms)`` keeps
@@ -135,152 +281,19 @@ GENERIC_KIND = ConstraintKind()
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Coefficients, jump structure and initial law of one model.
+class Case:
+    """A built-in case: its config parameters, in ``factory`` order, and factory."""
 
-    Coefficient callables must accept numpy arrays (or broadcast against
-    them). ``compensator`` is x -> intensity * E_mark[F(x, mark)]; when it
-    is None, :meth:`compensate` takes that expectation by the mark law's
-    quadrature rule (:func:`~meanreflect.stochastics.expect`): 1, 64 or 1024
-    evaluations of F per call for a point, lognormal or quantile-function
-    law.
-    """
-
-    drift: Callable
-    diffusion: Callable
-    jump_amplitude: Callable
-    intensity: float
-    jump_size_law: Law
-    initial_law: Law
-    compensator: Callable | None = None
-    case: str = "custom"
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.intensity <= 0.0:
-            raise ValueError(f"intensity must be > 0, got {self.intensity}")
-
-    def compensate(self, x):
-        """The jump compensator at x, from the spec's current fields."""
-        if self.compensator is not None:
-            return self.compensator(x)
-        amp = self.jump_amplitude
-        return self.intensity * expect(self.jump_size_law, lambda z: amp(x, z))
+    params: tuple[str, ...]
+    factory: Callable[..., tuple[ModelSpec, Constraint]]
 
 
-def _affine(c0: float, c1: float) -> Callable:
-    """x -> c0 + c1*x without its zero terms, so that a constant coefficient
-    stays a Python scalar that broadcasts against the particle array."""
-    if c1 == 0.0:
-        return lambda x: c0
-    if c0 == 0.0:
-        return lambda x: c1 * x
-    return lambda x: c0 + c1 * x
-
-
-#: The coefficient keywords of :func:`affine_model`, each 0 when absent.
-AFFINE_COEFFICIENTS = ("beta", "a", "sigma", "gamma", "eta", "theta")
-
-
-def affine_model(
-    lam: float, x0: float, law: Law, *, beta: float = 0.0, a: float = 0.0,
-    sigma: float = 0.0, gamma: float = 0.0, eta: float = 0.0, theta: float = 0.0,
-    case: str = "custom", params: dict | None = None,
-) -> ModelSpec:
-    """The affine jump SDE, started at the point x0:
-
-        dX = -(beta + a X) dt + (sigma + gamma X) dB + Z (eta + theta X) dN~,
-
-    with marks Z from ``law``, jumps at rate ``lam`` and the exact
-    compensator ``(lam*eta*E[Z]) + (lam*theta*E[Z])*x``. ``case``, and
-    ``params`` with every coefficient, lambda and x0, stay on the spec."""
-    mark_mean = law.mean()
-    jump = _affine(eta, theta)
-    return ModelSpec(
-        drift=_affine(-beta, -a),
-        diffusion=_affine(sigma, gamma),
-        jump_amplitude=lambda x, z: z * jump(x),
-        intensity=lam,
-        jump_size_law=law,
-        initial_law=DiracPoint(x0),
-        compensator=_affine(lam * eta * mark_mean, lam * theta * mark_mean),
-        case=case,
-        params={**(params or {}), "beta": beta, "a": a, "sigma": sigma, "gamma": gamma,
-                "eta": eta, "theta": theta, "lambda": lam, "x0": x0},
-    )
-
-
-def check_initial_mean(constraint: Constraint, x0: float) -> None:
-    """Raise ValueError unless E[h(X0)] = h(x0) >= 0 for a start at x0."""
-    h0 = float(constraint.h(x0))
-    if h0 < 0.0:
-        raise ValueError(f"h(x0) = {h0:.6g} < 0: initial mean constraint violated")
-
-
-def make_case_i(
-    beta: float, sigma: float, eta: float, lam: float, x0: float, p: float
-) -> tuple[ModelSpec, Constraint]:
-    """Drifted Brownian motion with compensated lognormal jumps, linear constraint.
-
-    The affine model with beta, sigma and eta, lognormal(0,1) marks (mean
-    sqrt(e)), and h(x) = x - p.
-    """
-    if beta <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
-        raise ValueError("case (i) requires beta, sigma, eta, lambda > 0")
-    if x0 < p:
-        raise ValueError(
-            f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
-        )
-    spec = affine_model(lam, x0, LogNormal(0.0, 1.0), beta=beta, sigma=sigma, eta=eta,
-                        case="i", params={"p": p})
-    return spec, linear_constraint(p)
-
-
-def make_case_ii(
-    a: float, gamma: float, theta: float, lam: float, x0: float, p: float
-) -> tuple[ModelSpec, Constraint]:
-    """Geometric dynamics with multiplicative jumps, linear constraint.
-
-    The affine model with a, gamma and theta, unit Dirac marks, and
-    h(x) = x - p.
-    """
-    if a <= 0 or gamma <= 0 or theta <= 0 or lam <= 0:
-        raise ValueError("case (ii) requires a, gamma, theta, lambda > 0")
-    if p <= 0:
-        raise ValueError(
-            f"p={p} <= 0: the reflection onset time (ln x0 - ln p)/a is undefined"
-        )
-    if x0 < p:
-        raise ValueError(
-            f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
-        )
-    spec = affine_model(lam, x0, DiracPoint(), a=a, gamma=gamma, theta=theta,
-                        case="ii", params={"p": p})
-    return spec, linear_constraint(p)
-
-
-def make_case_iii(
-    beta: float,
-    a: float,
-    sigma: float,
-    eta: float,
-    lam: float,
-    x0: float,
-    p: float,
-    alpha: float,
-) -> tuple[ModelSpec, Constraint]:
-    """Mean-reverting dynamics with unit-mark jumps, sine-perturbed constraint.
-
-    The affine model with beta, a, sigma and eta, unit Dirac marks, and
-    h(x) = x + alpha*sin(x) - p.
-    """
-    if beta <= 0 or a <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
-        raise ValueError("case (iii) requires beta, a, sigma, eta, lambda > 0")
-    constraint = sine_constraint(alpha, p)
-    check_initial_mean(constraint, x0)
-    spec = affine_model(lam, x0, DiracPoint(), beta=beta, a=a, sigma=sigma, eta=eta,
-                        case="iii", params={"p": p, "alpha": alpha})
-    return spec, constraint
+#: The built-in cases a config can name; adding one means adding a record.
+CASES: dict[str, Case] = {
+    "i": Case(("beta", "sigma", "eta", "lambda", "x0", "p"), make_case_i),
+    "ii": Case(("a", "gamma", "theta", "lambda", "x0", "p"), make_case_ii),
+    "iii": Case(("beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"), make_case_iii),
+}
 
 
 @dataclass

@@ -1,16 +1,16 @@
 """Reference solutions: exact reflection paths and noise-coupled exact paths.
 
-The reflection ``K`` of an affine model has one exact reference per
-constraint kind (:func:`reference_path`): a linear constraint, for any
-coefficients with a >= 0 (cases i and ii), and a sine constraint, for
+Both are chosen from the model's affine coefficients, mark law and
+constraint kind. ``K`` has one exact reference per kind (:func:`reference_path`):
+linear, for any coefficients with a >= 0 (cases i and ii), and sine, for
 gamma = theta = 0, a > 0 and Dirac marks (case iii).
 
-The coupled oracles of cases i and ii replay the exact same counter-based
-noise as a scheme run (same Gaussian increments, same jump counts and
-marks), so the difference between an exact path and its scheme counterpart
-isolates the discretization and particle-approximation error. Case ii's
-state is reconstructed from the unreflected exponential process by a
-left-point Riemann sum of 1/Y against the reflection increments.
+A linear constraint with additive or multiplicative noise (cases i and ii)
+also has an exact path (:func:`coupled_path`) that replays the exact same
+counter-based noise as a scheme run, so the difference between the two
+isolates the discretization and particle-approximation error. The
+multiplicative state is reconstructed from the unreflected exponential
+process by a left-point Riemann sum of 1/Y against the reflection increments.
 
 The reflection-density estimator turns a particle snapshot into the local
 growth rate of the reflection via the generator of the constraint
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.special import sici
@@ -30,11 +30,9 @@ from scipy.special import sici
 from .errors import DerivativesMissing, NoiseMismatch, ValidationError
 from .model import (
     AFFINE_COEFFICIENTS,
+    CASES,
     Constraint,
     ModelSpec,
-    make_case_i,
-    make_case_ii,
-    make_case_iii,
     sine_constraint_root,
 )
 from .scheme import GridSpec, simulate
@@ -43,11 +41,8 @@ from .stochastics import DiracPoint, NoiseRecord, expect
 
 @dataclass
 class OraclePath:
-    """Reference solution on a grid.
-
-    ``x_exact`` is the coupled per-particle path when one exists (cases i
-    and ii).
-    """
+    """Reference solution on a grid; ``x_exact`` is the coupled per-particle
+    path, if there is one (:func:`coupled_path`)."""
 
     times: np.ndarray
     k_exact: np.ndarray
@@ -97,8 +92,8 @@ def _linear_k(params: Mapping[str, float], grid: GridSpec) -> OraclePath:
 def exact_case_i(
     noise: NoiseRecord, params: Mapping[str, float], grid: GridSpec, particle: int = 0
 ) -> OraclePath:
-    """Exact coupled path for case i on the grid; its drift is compensated by
-    ``lam*eta*E[Z]``, the product the model's compensator uses."""
+    """Exact coupled path for additive noise (case i) on the grid; its drift is
+    compensated by ``lam*eta*E[Z]``, the product the model's compensator uses."""
     beta, sigma, eta, lam, x0 = _require(params, "beta", "sigma", "eta", "lambda", "x0")
     steps = _check_noise(noise, grid)
     ref = _linear_k(params, grid)
@@ -114,13 +109,15 @@ def exact_case_i(
 def exact_case_ii(
     noise: NoiseRecord, params: Mapping[str, float], grid: GridSpec, particle: int = 0
 ) -> OraclePath:
-    """Exact coupled path for case ii on the grid.
+    """Exact coupled path for multiplicative noise (case ii) on the grid, where
+    a jump multiplies the state by 1 + theta*v, v the Dirac mark.
 
     The unreflected exponential process is exact at grid times; the
     reconstruction integral of 1/Y against dK uses left-point sums, which
     is first-order consistent like the scheme itself.
     """
     a, gamma, theta, lam, x0 = _require(params, "a", "gamma", "theta", "lambda", "x0")
+    theta *= noise.jump_law.mean()
     steps = _check_noise(noise, grid)
     ref = _linear_k(params, grid)
     t = ref.times
@@ -186,8 +183,12 @@ def mean_y(t, x0: float, beta: float, a: float):
 
 def reference_path(model: ModelSpec, constraint: Constraint, grid: GridSpec) -> OraclePath:
     """The exact reflection path and unreflected mean of ``model`` under
-    ``constraint``; raises ValidationError where the kind has none."""
+    ``constraint``; raises ValidationError where the kind has none or
+    ``model.params`` lacks an affine coefficient."""
     params = {**model.params, **constraint.params}
+    if not set(AFFINE_COEFFICIENTS) <= model.params.keys():
+        raise ValidationError("no reference path for a model whose params do not name "
+                              f"every affine coefficient {AFFINE_COEFFICIENTS}")
     a, gamma, theta, eta = _require(params, "a", "gamma", "theta", "eta")
     law, kind = model.jump_size_law, constraint.kind
     if kind == "linear" and a >= 0.0:
@@ -200,36 +201,24 @@ def reference_path(model: ModelSpec, constraint: Constraint, grid: GridSpec) -> 
         "a sine one a > 0, gamma = theta = 0 and Dirac marks")
 
 
-@dataclass(frozen=True)
-class Case:
-    """One built-in case: its config parameters (in ``factory`` order) and
-    the noise-coupled ``coupled(noise, params, grid, particle=0)`` path,
-    None if it has none. Its reference is its constraint kind's."""
-
-    params: tuple[str, ...]
-    factory: Callable[..., tuple[ModelSpec, Constraint]]
-    coupled: Callable[..., OraclePath] | None = None
-
-
-#: The built-in cases; adding one means adding a record here. The oracle
-#: functions of this module are looked up when called, so that wrappers
-#: installed on the module (tracing, test doubles) see every call.
-CASES: dict[str, Case] = {
-    "i": Case(
-        params=("beta", "sigma", "eta", "lambda", "x0", "p"),
-        factory=make_case_i,
-        coupled=lambda *args, **kwargs: exact_case_i(*args, **kwargs),
-    ),
-    "ii": Case(
-        params=("a", "gamma", "theta", "lambda", "x0", "p"),
-        factory=make_case_ii,
-        coupled=lambda *args, **kwargs: exact_case_ii(*args, **kwargs),
-    ),
-    "iii": Case(
-        params=("beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"),
-        factory=make_case_iii,
-    ),
-}
+def coupled_path(model: ModelSpec, constraint: Constraint):
+    """The worker ``f(noise, params, grid, particle=0)`` that replays a scheme
+    run's noise exactly for ``model`` under a linear ``constraint`` (``params``
+    theirs, merged), or None. Additive noise (a = gamma = theta = 0, any marks)
+    and multiplicative noise (beta = sigma = eta = 0, a >= 0, x0 > 0, Dirac
+    marks v with 1 + theta*v > 0) have one."""
+    params = {**model.params, **constraint.params}
+    if constraint.kind != "linear" or not set(AFFINE_COEFFICIENTS) <= model.params.keys():
+        return None
+    beta, a, sigma, gamma, eta, theta, x0 = _require(params, *AFFINE_COEFFICIENTS, "x0")
+    law = model.jump_size_law
+    # Module globals, looked up when this runs, so that wrappers on them see every call.
+    if a == gamma == theta == 0.0:
+        return exact_case_i
+    if (beta == sigma == eta == 0.0 and a >= 0.0 and x0 > 0.0
+            and isinstance(law, DiracPoint) and 1.0 + theta * law.value > 0.0):
+        return exact_case_ii
+    return None
 
 
 def exact_k_path(case: str, params: Mapping[str, float], grid: GridSpec) -> np.ndarray:

@@ -382,7 +382,7 @@ def test_custom_case_without_reference_writes_nothing(tmp_path, capsys, command)
         assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("builtin, marks, constraint", [
+TWINS = [
     ({"case": "i", "beta": 2.0, "sigma": 1.0, "eta": 1.0, "lambda": 5.0, "x0": 1.0,
       "p": 0.5}, {"law": "lognormal"}, {"kind": "linear"}),
     ({"case": "ii", "a": 3.0, "gamma": 1.0, "theta": 1.0, "lambda": 2.0, "x0": 4.0,
@@ -390,23 +390,61 @@ def test_custom_case_without_reference_writes_nothing(tmp_path, capsys, command)
     ({"case": "iii", "beta": 0.01, "a": 0.01, "sigma": 1.0, "eta": 0.1, "lambda": 1.0,
       "x0": 0.97817754723285288, "p": 1.5707963267948966, "alpha": 0.9},
      {"law": "dirac"}, {"kind": "sine"}),
-], ids=["i", "ii", "iii"])
-def test_custom_twin_has_the_case_reference(tmp_path, builtin, marks, constraint):
-    # a custom config with a case's coefficients, marks and constraint is an
-    # instance of the same constraint kind's reference
+]
+
+
+def _case_and_twin(builtin, marks, constraint):
+    """The built-in case's config and a custom config with its coefficients,
+    marks and constraint."""
     params = {k: v for k, v in builtin.items() if k not in ("case", "p", "alpha")}
     twin = {"case": "custom", **params, "jump": marks}
     constraint = dict(constraint, **{k: builtin[k] for k in ("p", "alpha") if k in builtin})
-    columns = []
-    for name, doc in (("case", {"model": builtin}),
-                      ("twin", {"model": twin, "constraint": constraint})):
+    return {"case": {"model": builtin}, "twin": {"model": twin, "constraint": constraint}}
+
+
+@pytest.mark.parametrize("builtin, marks, constraint", TWINS, ids=["i", "ii", "iii"])
+def test_custom_twin_has_the_case_reference(tmp_path, builtin, marks, constraint):
+    # a custom config with a case's coefficients, marks and constraint is an
+    # instance of the same reference and of the same coupled exact path
+    files = []
+    for name, doc in _case_and_twin(builtin, marks, constraint).items():
         doc.update(grid={"T": 15.0 if "alpha" in builtin else 1.0, "n": 30}, particles=20)
         out = tmp_path / name
         assert main(["oracle", "--config", write_config(tmp_path, doc, f"{name}.json"),
                      "--seed", "3", "--out", str(out)]) == 0
-        lines = (out / "oracle.csv").read_text().splitlines()
-        columns.append([",".join(line.split(",")[:3]) for line in lines])
-    assert columns[0] == columns[1]
+        files.append((out / "oracle.csv").read_bytes())
+    assert files[0] == files[1]
+    header = files[0].decode().splitlines()[0]
+    assert header == ("t,K_exact,meanY" if "alpha" in builtin else "t,K_exact,meanY,X_exact")
+
+
+@pytest.mark.parametrize("builtin, marks, constraint", TWINS[:2], ids=["i", "ii"])
+def test_custom_twin_has_the_case_convergence(tmp_path, builtin, marks, constraint):
+    files = []
+    for name, doc in _case_and_twin(builtin, marks, constraint).items():
+        doc.update(grid={"T": 1.0, "n": 10}, particles=50, replications=3,
+                   sweep={"N": [20, 50]})
+        out = tmp_path / name
+        assert main(["convergence", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                     "--seed", "3", "--out", str(out)]) == 0
+        files.append((out / "convergence.csv").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_dirac_mark_value_scales_theta(tmp_path):
+    # multiplicative jumps of factor 1 + theta*v depend on theta*v alone
+    files = []
+    for theta, value in ((1.0, 1.0), (0.5, 2.0)):
+        doc = {"model": {"case": "custom", "a": 3.0, "gamma": 1.0, "theta": theta,
+                         "lambda": 2.0, "x0": 4.0, "jump": {"law": "dirac", "value": value}},
+               "constraint": {"kind": "linear", "p": 1.0},
+               "grid": {"T": 1.0, "n": 10}, "particles": 50, "replications": 3,
+               "sweep": {"N": [20, 50]}}
+        out = tmp_path / f"v{value}"
+        assert main(["convergence", "--config", write_config(tmp_path, doc),
+                     "--seed", "3", "--out", str(out)]) == 0
+        files.append((out / "convergence.csv").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_memory_error_exits_two_without_a_manifest(tmp_path, capsys, monkeypatch):
@@ -500,11 +538,27 @@ def test_manifest_replays_seed_override(tmp_path, command, output):
 
 @pytest.mark.parametrize("case", ["iii", "custom"])
 def test_convergence_without_coupled_path_writes_nothing(tmp_path, capsys, config_dir, case):
-    cfg = str(config_dir / "fig5.json") if case == "iii" else write_config(tmp_path, CUSTOM)
-    assert main(["convergence", "--config", cfg, "--seed", "1",
-                 "--out", str(tmp_path / "o")]) == 1
-    assert f"no exact coupled path for case {case!r}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    if case == "iii":
+        configs = [(str(config_dir / "fig5.json"), "a sine constraint with beta = 0.01")]
+    else:
+        lognormal = {"case": "custom", "a": 1.0, "gamma": 0.5, "lambda": 1.0, "x0": 1.0,
+                     "jump": {"law": "lognormal"}}
+        configs = [
+            # mixed noise: a multiplicative gamma beside an additive sigma
+            (write_config(tmp_path, dict(CUSTOM, model=dict(CUSTOM["model"], a=1.0,
+                                                            gamma=0.5))),
+             "a linear constraint with beta = 1.0, a = 1.0, sigma = 1.0, gamma = 0.5"),
+            # multiplicative noise with lognormal marks
+            (write_config(tmp_path, dict(CUSTOM, model=lognormal), "lognormal.json"),
+             "theta = 0.0, x0 = 1.0 and LogNormal(location=0.0, scale=1.0) marks"),
+        ]
+    for cfg, reason in configs:
+        assert main(["convergence", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no exact coupled path for ") and reason in err
+        assert "a linear one needs a = gamma = theta = 0, or beta = sigma = eta = 0" in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_unknown_subcommand_exits_two():

@@ -19,8 +19,8 @@ from meanreflect.harness import (
     loglog_fit,
     skorokhod_report,
 )
-from meanreflect.model import KINDS, linear_constraint
-from meanreflect.oracle import CASES, exact_case_i
+from meanreflect.model import AFFINE_COEFFICIENTS, CASES, KINDS, linear_constraint
+from meanreflect.oracle import coupled_path, exact_case_i
 from meanreflect import harness
 from meanreflect.scheme import GridSpec, TrajectoryRecord, simulate
 from meanreflect.stochastics import DiracPoint, uniforms, Channel, derive_seed
@@ -236,7 +236,7 @@ class TestBuildModel:
         ):
             cfg = fig1_config(case=case, model_params=params)
             model, constraint = build_model(cfg)
-            assert model.case == case
+            assert model.params == {**dict.fromkeys(AFFINE_COEFFICIENTS, 0.0), **params}
             assert constraint.kind == "linear"
 
     def test_custom_affine_family(self):
@@ -387,7 +387,7 @@ class TestL2Error:
             tracked = np.empty(grid.steps + 1)
             traj = simulate(model, constraint, grid, n_particles, seed, threads=threads,
                             observe=lambda k, X: tracked.__setitem__(k, X[0]))
-            path = CASES[case].coupled(traj.noise, model.params, grid, particle=0)
+            path = coupled_path(model, constraint)(traj.noise, model.params, grid, particle=0)
             want.append(float(np.max((path.x_exact - tracked) ** 2)))
 
         got = []

@@ -28,7 +28,8 @@ SQRT_E = math.sqrt(math.e)
 class TestCaseI:
     def test_fig1_parameters_valid(self):
         spec, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
-        assert spec.case == "i"
+        assert spec.params == {"beta": 2, "a": 0.0, "sigma": 1, "gamma": 0.0, "eta": 1,
+                               "theta": 0.0, "lambda": 5, "x0": 1, "p": 0.5}
         assert constraint.kind == "linear"
         assert validate(spec, constraint).ok
 
@@ -57,7 +58,8 @@ class TestCaseI:
 class TestCaseII:
     def test_fig3_parameters_valid(self):
         spec, constraint = make_case_ii(a=3, gamma=1, theta=1, lam=2, x0=4, p=1)
-        assert spec.case == "ii"
+        assert spec.params == {"beta": 0.0, "a": 3, "sigma": 0.0, "gamma": 1, "eta": 0.0,
+                               "theta": 1, "lambda": 2, "x0": 4, "p": 1}
         assert validate(spec, constraint).ok
 
     def test_onset_time_from_params(self):

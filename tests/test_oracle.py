@@ -8,8 +8,10 @@ from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 from scipy.optimize import bisect
 
 from meanreflect.errors import DerivativesMissing, NoiseMismatch, ValidationError
+from meanreflect import oracle
 from meanreflect.model import (
     Constraint,
+    ModelSpec,
     affine_model,
     linear_constraint,
     make_case_i,
@@ -19,6 +21,7 @@ from meanreflect.model import (
 )
 from meanreflect.oracle import (
     _jump_generator_term,
+    coupled_path,
     density_k,
     density_series,
     exact_case_i,
@@ -325,6 +328,70 @@ class TestReferencePath:
         with pytest.raises(ValidationError, match="no reference path for") as excinfo:
             reference_path(model, constraint, GridSpec(1.0, 4))
         assert reason in str(excinfo.value)
+
+
+    @pytest.mark.parametrize("params", [{"x0": 1.0}, {}], ids=["x0", "empty"])
+    def test_spec_without_affine_coefficients_is_refused(self, params):
+        # dX = -5X dt from x0 = 1 under mean X >= 0.5: the true K grows at rate
+        # 2.5 from t = ln 2 / 5, so absent coefficients must not read as 0
+        spec = ModelSpec(drift=lambda x: -5.0 * x, diffusion=lambda x: 0.0,
+                         jump_amplitude=lambda x, z: 0.0, intensity=1.0,
+                         jump_size_law=DiracPoint(), initial_law=DiracPoint(1.0),
+                         compensator=lambda x: 0.0, params=params)
+        with pytest.raises(ValidationError, match="name every affine coefficient"):
+            reference_path(spec, linear_constraint(0.5), GridSpec(1.0, 4))
+        assert coupled_path(spec, linear_constraint(0.5)) is None
+
+
+class TestCoupledPath:
+    def test_builtin_cases(self):
+        assert coupled_path(*make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)) \
+            is exact_case_i
+        assert coupled_path(*make_case_ii(a=3, gamma=1, theta=1, lam=2, x0=4, p=1)) \
+            is exact_case_ii
+        assert coupled_path(*make_case_iii(beta=0.01, a=0.01, sigma=1.0, eta=0.1, lam=1.0,
+                                           x0=FIG5_X0, p=FIG5_P, alpha=0.9)) is None
+
+    @pytest.mark.parametrize("coefficients, x0, law, want", [
+        ({"beta": -1.0, "sigma": 0.5, "eta": 2.0}, 1.0, DiracPoint(-3.0), exact_case_i),
+        ({"sigma": 0.5}, -1.0, LogNormal(0.0, 0.5), exact_case_i),
+        ({}, 1.0, DiracPoint(), exact_case_i),
+        ({"a": 0.0, "gamma": 0.5, "theta": -0.4}, 1.0, DiracPoint(2.0), exact_case_ii),
+        ({"a": 1.0, "theta": -0.4}, 1.0, DiracPoint(2.5), None),
+        ({"a": 1.0, "gamma": 0.5}, 0.0, DiracPoint(), None),
+        ({"a": -1.0, "gamma": 0.5}, 1.0, DiracPoint(), None),
+        ({"a": 1.0, "gamma": 0.5}, 1.0, LogNormal(), None),
+        ({"a": 1.0, "gamma": 0.5, "beta": 0.1}, 1.0, DiracPoint(), None),
+        ({"sigma": 1.0, "theta": 0.1}, 1.0, DiracPoint(), None),
+    ], ids=["additive", "additive_lognormal", "still", "multiplicative",
+            "jump_to_zero", "start_at_zero", "negative_a", "multiplicative_lognormal",
+            "mixed_drift", "mixed_noise"])
+    def test_choice_follows_the_coefficients(self, coefficients, x0, law, want):
+        model = affine_model(1.0, x0, law, **coefficients)
+        assert coupled_path(model, linear_constraint(min(x0, 0.0))) is want
+        assert coupled_path(model, sine_constraint(0.5, min(x0, 0.0))) is None
+
+    def test_workers_are_looked_up_when_chosen(self, monkeypatch):
+        # wrappers installed on the module see every call
+        def wrapper(*args, **kwargs):
+            return exact_case_i(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "exact_case_i", wrapper)
+        assert coupled_path(*make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)) \
+            is wrapper
+
+    def test_dirac_mark_value_scales_theta(self):
+        grid = GridSpec(1.0, 50)
+        paths = [exact_case_ii(make_noise(3, grid, 2, FIG3["lambda"], DiracPoint(value)),
+                               dict(FIG3, theta=theta), grid, particle=1)
+                 for theta, value in ((1.0, 1.0), (0.5, 2.0))]
+        assert np.array_equal(paths[0].x_exact, paths[1].x_exact)
+        # theta*v = -0.5 halves the state at each jump
+        noise = make_noise(3, grid, 2, FIG3["lambda"], DiracPoint(-2.0))
+        jumps = noise.counts(0, np.arange(1, 51)).sum()
+        free = exact_case_ii(noise, dict(FIG3, theta=0.25, gamma=0.0, p=0.0), grid)
+        want = 4.0 * math.exp(-(3.0 - 0.5 * 2.0) * 1.0) * 0.5**jumps
+        assert free.x_exact[-1] == pytest.approx(want, rel=1e-12)
 
 
 class TestMeanY:
