@@ -239,23 +239,19 @@ class ExperimentConfig:
 def build_model(config: ExperimentConfig) -> tuple[ModelSpec, Constraint]:
     """Instantiate the model/constraint pair a config describes.
 
-    Factory rejections (bad coefficients, a start with h(x0) < 0, custom
-    configs included) surface as :class:`ValidationError` so config-driven
-    callers can treat them uniformly.
+    Rejections by :func:`~meanreflect.model.make_case` (a case) and
+    :func:`~meanreflect.model.affine_case` (a custom config) surface as
+    :class:`ValidationError` so config-driven callers can treat them uniformly.
     """
     p = config.model_params
     try:
         if config.case != "custom":
-            case = model_mod.CASES[config.case]
-            return case.factory(*(p[name] for name in case.params))
+            names = model_mod.CASES[config.case].params
+            return model_mod.make_case(config.case, *(p[name] for name in names))
         jump = dict(p.get("jump", {"law": "dirac"}))
         law = _JUMP_LAWS[jump.pop("law")](**{k: float(v) for k, v in jump.items()})
-        coefficients = {k: float(p[k]) for k in model_mod.AFFINE_COEFFICIENTS if k in p}
-        spec = model_mod.affine_model(float(p["lambda"]), float(p["x0"]), law, **coefficients)
-        kind = model_mod.KINDS[config.constraint_params.get("kind", "linear")]
-        constraint = kind.factory(*(float(config.constraint_params[n]) for n in kind.params))
-        model_mod.check_initial_mean(constraint, float(p["x0"]))
-        return spec, constraint
+        constraint = config.constraint_params
+        return model_mod.affine_case(law, constraint.get("kind", "linear"), {**p, **constraint})
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

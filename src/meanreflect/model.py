@@ -9,18 +9,20 @@ compensated by ``intensity * E_mark[F(x, mark)]``, and K is the minimal
 nondecreasing deterministic push keeping the mean constraint
 ``mean h(X_t) >= 0`` satisfied.
 
-The three built-in cases, which have (semi-)closed-form solutions, and the
-JSON "custom" family are coefficient sets of one affine model,
-:func:`affine_model`; anything else can be declared directly through
-:class:`ModelSpec` and :class:`Constraint` with vectorized coefficient
-callables.
+The three built-in cases, which have (semi-)closed-form solutions, are
+records of :data:`CASES`: parameters, positive parameters, mark law and
+constraint kind. They and the JSON "custom" family are coefficient sets of
+one affine model, all assembled by :func:`affine_case`, which enforces the
+one initial-condition rule h(x0) >= 0. Anything else can be declared
+directly through :class:`ModelSpec` and :class:`Constraint` with vectorized
+coefficient callables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -172,78 +174,6 @@ def affine_model(
     )
 
 
-def check_initial_mean(constraint: Constraint, x0: float) -> None:
-    """Raise ValueError unless E[h(X0)] = h(x0) >= 0 for a start at x0."""
-    h0 = float(constraint.h(x0))
-    if h0 < 0.0:
-        raise ValueError(f"h(x0) = {h0:.6g} < 0: initial mean constraint violated")
-
-
-def make_case_i(
-    beta: float, sigma: float, eta: float, lam: float, x0: float, p: float
-) -> tuple[ModelSpec, Constraint]:
-    """Drifted Brownian motion with compensated lognormal jumps, linear constraint.
-
-    The affine model with beta, sigma and eta, lognormal(0,1) marks (mean
-    sqrt(e)), and h(x) = x - p.
-    """
-    if beta <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
-        raise ValueError("case (i) requires beta, sigma, eta, lambda > 0")
-    if x0 < p:
-        raise ValueError(
-            f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
-        )
-    spec = affine_model(lam, x0, LogNormal(0.0, 1.0), beta=beta, sigma=sigma, eta=eta,
-                        params={"p": p})
-    return spec, linear_constraint(p)
-
-
-def make_case_ii(
-    a: float, gamma: float, theta: float, lam: float, x0: float, p: float
-) -> tuple[ModelSpec, Constraint]:
-    """Geometric dynamics with multiplicative jumps, linear constraint.
-
-    The affine model with a, gamma and theta, unit Dirac marks, and
-    h(x) = x - p.
-    """
-    if a <= 0 or gamma <= 0 or theta <= 0 or lam <= 0:
-        raise ValueError("case (ii) requires a, gamma, theta, lambda > 0")
-    if p <= 0:
-        raise ValueError(
-            f"p={p} <= 0: the reflection onset time (ln x0 - ln p)/a is undefined"
-        )
-    if x0 < p:
-        raise ValueError(
-            f"x0={x0} < p={p}: initial mean constraint h(x0) >= 0 violated"
-        )
-    spec = affine_model(lam, x0, DiracPoint(), a=a, gamma=gamma, theta=theta, params={"p": p})
-    return spec, linear_constraint(p)
-
-
-def make_case_iii(
-    beta: float,
-    a: float,
-    sigma: float,
-    eta: float,
-    lam: float,
-    x0: float,
-    p: float,
-    alpha: float,
-) -> tuple[ModelSpec, Constraint]:
-    """Mean-reverting dynamics with unit-mark jumps, sine-perturbed constraint.
-
-    The affine model with beta, a, sigma and eta, unit Dirac marks, and
-    h(x) = x + alpha*sin(x) - p.
-    """
-    if beta <= 0 or a <= 0 or sigma <= 0 or eta <= 0 or lam <= 0:
-        raise ValueError("case (iii) requires beta, a, sigma, eta, lambda > 0")
-    constraint = sine_constraint(alpha, p)
-    check_initial_mean(constraint, x0)
-    spec = affine_model(lam, x0, DiracPoint(), beta=beta, a=a, sigma=sigma, eta=eta,
-                        params={"p": p, "alpha": alpha})
-    return spec, constraint
-
-
 @dataclass(frozen=True)
 class ConstraintKind:
     """One constraint kind: its config parameters (in ``factory`` order), its
@@ -282,18 +212,72 @@ GENERIC_KIND = ConstraintKind()
 
 @dataclass(frozen=True)
 class Case:
-    """A built-in case: its config parameters, in ``factory`` order, and factory."""
+    """A built-in case as data: its config parameters, in positional order,
+    those that must be > 0, its mark law and its constraint kind."""
 
     params: tuple[str, ...]
-    factory: Callable[..., tuple[ModelSpec, Constraint]]
+    positive: tuple[str, ...]
+    law: Law
+    kind: str
 
 
 #: The built-in cases a config can name; adding one means adding a record.
 CASES: dict[str, Case] = {
-    "i": Case(("beta", "sigma", "eta", "lambda", "x0", "p"), make_case_i),
-    "ii": Case(("a", "gamma", "theta", "lambda", "x0", "p"), make_case_ii),
-    "iii": Case(("beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"), make_case_iii),
+    "i": Case(("beta", "sigma", "eta", "lambda", "x0", "p"),
+              ("beta", "sigma", "eta", "lambda"), LogNormal(0.0, 1.0), "linear"),
+    "ii": Case(("a", "gamma", "theta", "lambda", "x0", "p"),
+               ("a", "gamma", "theta", "lambda", "p"), DiracPoint(), "linear"),
+    "iii": Case(("beta", "a", "sigma", "eta", "lambda", "x0", "p", "alpha"),
+                ("beta", "a", "sigma", "eta", "lambda"), DiracPoint(), "sine"),
 }
+
+
+def affine_case(law: Law, kind: str, params: Mapping[str, float]) -> tuple[ModelSpec, Constraint]:
+    """Every affine model, built-in or custom: :func:`affine_model` with the
+    coefficients in ``params`` and marks from ``law``, under the :data:`KINDS`
+    constraint ``kind`` with its parameters from ``params`` (recorded in the
+    spec's too). Raises ValueError unless h(x0) >= 0."""
+    record = KINDS[kind]
+    constraint = record.factory(*(float(params[n]) for n in record.params))
+    x0 = float(params["x0"])
+    h0 = float(constraint.h(x0))
+    if not h0 >= 0.0:
+        raise ValueError(f"h(x0) = {h0:.6g} < 0: initial mean constraint violated")
+    coefficients = {k: float(params[k]) for k in AFFINE_COEFFICIENTS if k in params}
+    model = affine_model(float(params["lambda"]), x0, law, **coefficients, params=constraint.params)
+    return model, constraint
+
+
+def make_case(name: str, *values: float) -> tuple[ModelSpec, Constraint]:
+    """The :data:`CASES` record ``name`` at ``values``, in its ``params``
+    order; raises ValueError unless its ``positive`` ones are > 0 and h(x0) >= 0."""
+    case = CASES[name]
+    params = dict(zip(case.params, values, strict=True))
+    if not all(params[n] > 0.0 for n in case.positive):
+        raise ValueError(f"case ({name}) requires {', '.join(case.positive)} > 0")
+    return affine_case(case.law, case.kind, params)
+
+
+def make_case_i(
+    beta: float, sigma: float, eta: float, lam: float, x0: float, p: float
+) -> tuple[ModelSpec, Constraint]:
+    """Case i: drifted Brownian motion, lognormal(0,1) jumps, h(x) = x - p."""
+    return make_case("i", beta, sigma, eta, lam, x0, p)
+
+
+def make_case_ii(
+    a: float, gamma: float, theta: float, lam: float, x0: float, p: float
+) -> tuple[ModelSpec, Constraint]:
+    """Case ii: geometric dynamics, multiplicative unit jumps, h(x) = x - p."""
+    return make_case("ii", a, gamma, theta, lam, x0, p)
+
+
+def make_case_iii(
+    beta: float, a: float, sigma: float, eta: float, lam: float, x0: float, p: float,
+    alpha: float,
+) -> tuple[ModelSpec, Constraint]:
+    """Case iii: mean-reverting dynamics, unit jumps, h(x) = x + alpha*sin(x) - p."""
+    return make_case("iii", beta, a, sigma, eta, lam, x0, p, alpha)
 
 
 @dataclass

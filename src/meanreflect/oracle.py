@@ -33,6 +33,7 @@ from .model import (
     CASES,
     Constraint,
     ModelSpec,
+    make_case,
     sine_constraint_root,
 )
 from .scheme import GridSpec, simulate
@@ -114,10 +115,14 @@ def exact_case_ii(
 
     The unreflected exponential process is exact at grid times; the
     reconstruction integral of 1/Y against dK uses left-point sums, which
-    is first-order consistent like the scheme itself.
+    is first-order consistent like the scheme itself. Raises NoiseMismatch
+    unless the record's marks are Dirac, at a value v with 1 + theta*v > 0.
     """
     a, gamma, theta, lam, x0 = _require(params, "a", "gamma", "theta", "lambda", "x0")
-    theta *= noise.jump_law.mean()
+    law = noise.jump_law
+    if not (isinstance(law, DiracPoint) and 1.0 + theta * law.value > 0.0):
+        raise NoiseMismatch(f"exact_case_ii needs Dirac marks v with 1 + theta*v > 0, got {law!r}")
+    theta *= law.value
     steps = _check_noise(noise, grid)
     ref = _linear_k(params, grid)
     t = ref.times
@@ -225,8 +230,8 @@ def exact_k_path(case: str, params: Mapping[str, float], grid: GridSpec) -> np.n
     """Reference reflection path for a built-in case (no noise needed)."""
     if case not in CASES:
         raise ValueError(f"no reference reflection path for case {case!r}")
-    spec = CASES[case]
-    return reference_path(*spec.factory(*(params[n] for n in spec.params)), grid).k_exact
+    values = (params[n] for n in CASES[case].params)
+    return reference_path(*make_case(case, *values), grid).k_exact
 
 
 def _jump_generator_term(

@@ -11,6 +11,7 @@ import scipy
 from meanreflect import cli
 from meanreflect.cli import main, parse_config
 from meanreflect.errors import ParseError, ValidationError
+from meanreflect.harness import ExperimentConfig, build_model
 
 MINIMAL = {
     "model": {
@@ -362,7 +363,7 @@ def test_bad_model_writes_no_manifest(tmp_path, capsys, command):
     doc["model"]["x0"] = 0.0  # below the threshold p
     assert main([command, "--config", write_config(tmp_path, doc), "--seed", "1",
                  "--out", str(tmp_path / "o")]) == 1
-    assert "x0=0.0 < p=0.5" in capsys.readouterr().err
+    assert "h(x0) = -0.5 < 0: initial mean constraint violated" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -416,6 +417,15 @@ def test_custom_twin_has_the_case_reference(tmp_path, builtin, marks, constraint
     assert files[0] == files[1]
     header = files[0].decode().splitlines()[0]
     assert header == ("t,K_exact,meanY" if "alpha" in builtin else "t,K_exact,meanY,X_exact")
+
+
+@pytest.mark.parametrize("builtin, marks, constraint", TWINS, ids=["i", "ii", "iii"])
+def test_custom_twin_records_the_case_params(builtin, marks, constraint):
+    # one assembler builds both, so the twin's spec records p (and alpha) too
+    specs = [build_model(ExperimentConfig.from_json_dict(dict(doc, grid={"T": 1.0, "n": 2},
+                                                              particles=1)))[0]
+             for doc in _case_and_twin(builtin, marks, constraint).values()]
+    assert specs[0].params == specs[1].params
 
 
 @pytest.mark.parametrize("builtin, marks, constraint", TWINS[:2], ids=["i", "ii"])

@@ -8,6 +8,7 @@ import pytest
 
 from meanreflect import stochastics as sto
 from meanreflect.model import (
+    CASES,
     Constraint,
     ModelSpec,
     linear_constraint,
@@ -23,6 +24,26 @@ from meanreflect.stochastics import CustomSampler, DiracPoint, LogNormal
 from conftest import FIG5_P, FIG5_X0
 
 SQRT_E = math.sqrt(math.e)
+
+FACTORIES = {"i": make_case_i, "ii": make_case_ii, "iii": make_case_iii}
+VALID = {
+    "i": {"beta": 2, "sigma": 1, "eta": 1, "lambda": 5, "x0": 1, "p": 0.5},
+    "ii": {"a": 3, "gamma": 1, "theta": 1, "lambda": 2, "x0": 4, "p": 1},
+    "iii": {"beta": 1e-2, "a": 1e-2, "sigma": 1, "eta": 0.1, "lambda": 1, "x0": FIG5_X0,
+            "p": FIG5_P, "alpha": 0.9},
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("case, name", [
+    *(("i", name) for name in ("beta", "sigma", "eta", "lambda")),
+    *(("ii", name) for name in ("a", "gamma", "theta", "lambda", "p")),
+    *(("iii", name) for name in ("beta", "a", "sigma", "eta", "lambda")),
+])
+def test_refuses_each_nonpositive_parameter(case, name, bad):
+    values = dict(VALID[case], **{name: bad})
+    with pytest.raises(ValueError, match=rf"case \({case}\) requires .*\b{name}\b.* > 0"):
+        FACTORIES[case](*(values[n] for n in CASES[case].params))
 
 
 class TestCaseI:
@@ -74,7 +95,7 @@ class TestCaseII:
         assert (math.log(p["x0"]) - math.log(p["p"])) / p["a"] == 0.0
 
     def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError, match="undefined"):
+        with pytest.raises(ValueError, match=r"case \(ii\) requires a, gamma, theta, lambda, p > 0"):
             make_case_ii(a=3, gamma=1, theta=1, lam=2, x0=4, p=0.0)
 
     def test_compensator_linear_in_state(self):

@@ -170,6 +170,16 @@ class TestCaseII:
             want.append(y[k] * (1.0 + integral))
         assert np.allclose(path.x_exact, want, atol=1e-12)
 
+    @pytest.mark.parametrize("law, theta", [
+        (LogNormal(0.0, 1.0), 0.5), (DiracPoint(-1.0), 1.0), (DiracPoint(1.0), -2.0),
+    ], ids=["lognormal", "dirac_kills_state", "dirac_flips_sign"])
+    def test_refuses_marks_it_cannot_replay(self, law, theta):
+        # the closed form holds for Dirac marks v with 1 + theta*v > 0 only
+        grid = GridSpec(1.0, 20)
+        noise = make_noise(1, grid, 4, 2.0, law)
+        with pytest.raises(NoiseMismatch, match="1 \\+ theta\\*v > 0"):
+            exact_case_ii(noise, dict(FIG3, theta=theta), grid)
+
 
 class TestCaseIII:
     def test_fig5_starts_at_zero(self):
