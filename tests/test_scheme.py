@@ -16,12 +16,14 @@ from meanreflect.model import (
     make_case_iii,
     validate,
 )
+from meanreflect.parallel import MIN_CHUNK_ITEMS
 from meanreflect.scheme import (
+    NOISE_BLOCK_LANES,
     GridSpec,
     ParticleSystem,
     simulate,
 )
-from meanreflect.stochastics import CustomSampler, DiracPoint, LogNormal
+from meanreflect.stochastics import CustomSampler, DiracPoint, LogNormal, NoiseRecord
 
 SQRT_E = math.sqrt(math.e)
 
@@ -53,8 +55,18 @@ def drift_only_model(beta: float, x0: float) -> ModelSpec:
 
 def _increments_reference(system: ParticleSystem, step: int) -> np.ndarray:
     """The original increment: one masked pass per mark rank j < counts.max(),
-    adding mark j of every particle that has one. Kept as the oracle."""
-    model, noise, x = system.model, system.noise, system.X
+    adding mark j of every particle that has one, on one step's noise drawn
+    afresh. Kept as the oracle; a batch row is computed with its own int seed."""
+    if system.X.ndim == 2:
+        return np.stack([
+            _masked_passes(system, dataclasses.replace(system.noise, seed=seed), x, step)
+            for seed, x in zip(system.seed, system.X)
+        ])
+    return _masked_passes(system, system.noise, system.X, step)
+
+
+def _masked_passes(system: ParticleSystem, noise, x: np.ndarray, step: int) -> np.ndarray:
+    model = system.model
     dt, idx = system.grid.dt, np.arange(system.n_particles)
     g = noise.gaussians(idx, step)
     counts = noise.counts(idx, step)
@@ -205,6 +217,83 @@ class TestJumpSum:
             got = system._increments(system.X, step)
             assert np.array_equal(got, _increments_reference(system, step)), step
             system.step()
+
+
+def _block_steps(lanes: int, steps: int) -> int:
+    """Steps one noise block covers for a chunk of ``lanes`` lanes a step."""
+    return min(max(1, NOISE_BLOCK_LANES // lanes), steps)
+
+
+class TestNoiseBlock:
+    """A chunk draws its noise for several steps at once; each step must still
+    see exactly the draws of its own keys."""
+
+    # (threads, N): 3 rows of N = 2000 are one unsplit chunk of 6000 lanes; 3
+    # rows of N = 6000 are above MIN_CHUNK_ITEMS, so 2 threads split them into
+    # chunks of 3 x 3000 lanes. n = 7 is a multiple of neither block length.
+    @pytest.mark.parametrize("threads, n_particles", [(1, 2000), (2, 6000)])
+    def test_batch_block_matches_reference_and_int_seed_runs(self, threads, n_particles):
+        model, constraint = MANY_MARKS["lognormal-theta"], linear_constraint(0.95)
+        grid = GridSpec(7 / 20, 7)  # lambda * dt = 3, as in TestJumpSum
+        seeds = [7, 2**64 - 1, 12345]
+        chunk = n_particles // threads
+        block = _block_steps(len(seeds) * chunk, grid.steps)
+        assert 1 < block < grid.steps and grid.steps % block
+        system = ParticleSystem(model, constraint, grid, n_particles, seeds, threads=threads)
+        clouds = [system.X.copy()]
+        for step in range(1, grid.steps + 1):
+            got = system._increments(system.X, step)
+            assert np.array_equal(got, _increments_reference(system, step)), step
+            system.step()
+            clouds.append(system.X.copy())
+        for row, seed in enumerate(seeds):
+            seen = []
+            simulate(model, constraint, grid, n_particles, seed, threads=threads,
+                     observe=lambda k, X: seen.append(X.copy()))
+            assert np.array_equal(np.array(clouds)[:, row], np.array(seen)), seed
+
+    def test_earlier_step_after_later_draws_a_new_block(self):
+        model, constraint = MANY_MARKS["lognormal-theta"], linear_constraint(0.95)
+        grid = GridSpec(0.5, 10)
+        # 2 threads split N = 20000 into two chunks of 10000 lanes; 1 thread
+        # runs one chunk of 20000
+        system = ParticleSystem(model, constraint, grid, 20_000, seed=3)
+        block = _block_steps(10_000, grid.steps)
+        assert 2 < block < grid.steps - 2 and _block_steps(20_000, grid.steps) < block
+        # a block and its next step, past its end, back before that start and
+        # the next step of the new block, the first and last steps, then
+        # another chunk split of the same particles and back again
+        order = [(2, 2), (3, 2), (block + 2, 2), (block, 2), (block + 1, 2), (1, 2),
+                 (grid.steps, 2), (block + 2, 1), (2, 1), (block + 3, 2)]
+        for step, threads in order:
+            system.threads = threads
+            got = system._increments(system.X, step)
+            assert np.array_equal(got, _increments_reference(system, step)), step
+
+    @pytest.mark.parametrize("seed, n_particles, threads", [
+        (5, 100, 1), (5, 9000, 1), ([1, 2, 3], 3000, 1), ([1, 2, 3], 6000, 2),
+    ])
+    def test_no_draw_holds_more_than_the_block_lanes(self, monkeypatch, seed,
+                                                     n_particles, threads):
+        sizes = []
+        gaussians = NoiseRecord.gaussians
+
+        def spy(record, particles, steps):
+            g = gaussians(record, particles, steps)
+            sizes.append(g.size)
+            return g
+
+        monkeypatch.setattr(NoiseRecord, "gaussians", spy)
+        model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
+        grid = GridSpec(1.0, 40)
+        simulate(model, constraint, grid, n_particles, seed, threads=threads)
+        rows = 1 if isinstance(seed, int) else len(seed)
+        chunks = threads if rows * n_particles >= MIN_CHUNK_ITEMS else 1
+        lanes = rows * n_particles // chunks
+        block = _block_steps(lanes, grid.steps)
+        assert max(sizes) <= NOISE_BLOCK_LANES
+        assert len(sizes) == chunks * -(-grid.steps // block)  # blocks, not steps
+        assert sum(sizes) == rows * n_particles * grid.steps  # every draw once
 
 
 class TestSimulate:
