@@ -54,6 +54,21 @@ def chunk_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n_items)) for lo in range(0, n_items, step)]
 
 
+def chunk_split(
+    n_items: int, threads: int | None = None, rows: int = 1,
+) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` chunks :func:`run_chunked` runs ``range(n_items)`` in.
+
+    ``threads`` defaults to :func:`worker_count`. Each item spans ``rows``
+    lanes (the rows of a batch, all in every chunk), and the work is split
+    only from ``MIN_CHUNK_ITEMS`` lanes on.
+    """
+    threads = worker_count() if threads is None else threads
+    if threads <= 1 or rows * n_items < MIN_CHUNK_ITEMS:
+        return [(0, n_items)]
+    return chunk_ranges(n_items, threads)
+
+
 @functools.lru_cache(maxsize=None)
 def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers)
@@ -67,20 +82,19 @@ def run_chunked(
     work: Callable[[int, int], None], n_items: int, threads: int | None = None,
     rows: int = 1,
 ) -> None:
-    """Run ``work(lo, hi)`` over disjoint chunks of ``range(n_items)``.
+    """Run ``work(lo, hi)`` over the disjoint chunks :func:`chunk_split`
+    gives, on threads when there is more than one.
 
-    ``threads`` defaults to :func:`worker_count`. ``work`` must write only
-    to slice ``[lo:hi]`` of its outputs, so the result is independent of
-    scheduling. Each item spans ``rows`` lanes (the rows of a batch, all
-    in every chunk), and the work is split only from ``MIN_CHUNK_ITEMS``
-    lanes on.
+    ``work`` must write only to slice ``[lo:hi]`` of its outputs, so the
+    result is independent of scheduling.
     """
     threads = worker_count() if threads is None else threads
-    if threads <= 1 or rows * n_items < MIN_CHUNK_ITEMS:
-        work(0, n_items)
+    chunks = chunk_split(n_items, threads, rows)
+    if len(chunks) == 1:
+        work(*chunks[0])
         return
     pool = _pool(threads)
-    futures = [pool.submit(work, lo, hi) for lo, hi in chunk_ranges(n_items, threads)]
+    futures = [pool.submit(work, lo, hi) for lo, hi in chunks]
     wait(futures)  # no chunk may still be writing when an error propagates
     for fut in futures:
         fut.result()

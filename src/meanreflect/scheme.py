@@ -23,8 +23,10 @@ The noise does not depend on the state, so a chunk draws it ahead: one
 as fit in ``NOISE_BLOCK_LANES`` lanes (at least one), and each step takes
 its own slice of that block. Only the marks are drawn ahead; their jump
 amplitudes are computed at step time from the current state. A block is
-keyed by its chunk's particle range, so a chunk split that changes between
-calls draws a new block, and every draw is the one its key gives.
+kept, keyed by its chunk's particle range, only while a later step of it
+remains, so a one-step block is never kept; a chunk split that changes
+between calls drops the old split's blocks before drawing new ones, and
+every draw is the one its key gives.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import NonFiniteState
 from .model import Constraint, ModelSpec
-from .parallel import run_chunked
+from .parallel import chunk_split, run_chunked
 from .reflection import MeanEvaluator, ReflectionTracker
 from .stochastics import DiracPoint, NoiseRecord
 
@@ -211,15 +213,22 @@ class ParticleSystem:
         dt = self.grid.dt
         sqrt_dt = math.sqrt(dt)
         out = np.empty_like(x_prev)
-        spent, self._blocks = self._blocks, {}  # a chunk no longer run drops its block
+        rows = len(self.trackers)
+        # Keep only the blocks this call reads: a spent block, or one of a
+        # chunk split no longer run, is dropped before any block is drawn.
+        held, self._blocks = self._blocks, {}
+        ahead = {chunk: held[chunk]
+                 for chunk in chunk_split(self.n_particles, self.threads, rows)
+                 if chunk in held and held[chunk].covers(step)}
+        del held
 
         def work(lo: int, hi: int) -> None:
             x = x_prev[..., lo:hi]  # every row of the batch, particles lo..hi-1
-            block = spent.pop((lo, hi), None)
-            if block is None or not block.covers(step):
-                block = None  # drop the spent block before drawing the next
+            block = ahead.pop((lo, hi), None)
+            if block is None:
                 block = self._noise_block(lo, hi, step)
-            self._blocks[lo, hi] = block
+            if block.covers(step + 1):  # a block is kept only for a later step
+                self._blocks[lo, hi] = block
             g, cells, marks = block.at(step)
             at = x.reshape(-1)[cells]
             amp = np.broadcast_to(model.jump_amplitude(at, marks), marks.shape)
@@ -227,7 +236,7 @@ class ParticleSystem:
             drift_part = model.drift(x) - model.compensate(x)
             out[..., lo:hi] = dt * drift_part + sqrt_dt * (model.diffusion(x) * g) + jump
 
-        run_chunked(work, self.n_particles, self.threads, rows=len(self.trackers))
+        run_chunked(work, self.n_particles, self.threads, rows=rows)
         return out
 
     def step(self):

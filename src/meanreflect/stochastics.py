@@ -50,10 +50,6 @@ _SHIFT32 = np.uint64(32)
 #: from the same single uniform, so determinism is unaffected).
 POISSON_INVERSION_CUTOFF = 10.0
 
-#: ``NoiseRecord.jumps`` draws its marks in pieces of at most this many
-#: lanes: the same keys, but each piece's Philox rounds stay in cache.
-MARK_PIECE_LANES = 8192
-
 
 class Channel(IntEnum):
     """Substream selector inside one (seed, particle, step) cell."""
@@ -343,20 +339,18 @@ class NoiseRecord:
         flat cell indices in C order, mark j of a cell keyed ``sub = j`` and
         placed j-th among its cell's marks. A call with no jump draws no mark.
         With a seed per row, the rows are part of the cells and each mark is
-        keyed by its own row's seed. The marks are drawn in pieces of at
-        most ``MARK_PIECE_LANES``."""
+        keyed by its own row's seed."""
         counts = self.counts(particles, steps)
         shape, counts = counts.shape, counts.reshape(-1)
         cells = np.repeat(np.arange(counts.size), counts)
+        if not cells.size:
+            return cells, np.empty(0)
         sub = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
         p, k = (np.broadcast_to(i, shape).reshape(-1)[cells] for i in (particles, steps))
-        seed = np.broadcast_to(self.seed, shape).reshape(-1)[cells] if np.ndim(self.seed) else None
-        marks = np.empty(cells.size)
-        for lo in range(0, cells.size, MARK_PIECE_LANES):
-            piece = slice(lo, lo + MARK_PIECE_LANES)
-            record = self if seed is None else replace(self, seed=seed[piece])
-            marks[piece] = record.marks(p[piece], k[piece], sub[piece])
-        return cells, marks
+        record = self
+        if np.ndim(self.seed):
+            record = replace(self, seed=np.broadcast_to(self.seed, shape).reshape(-1)[cells])
+        return cells, record.marks(p, k, sub)
 
     def initial_uniforms(self, particles) -> np.ndarray:
         """Uniforms feeding the initial law of the given particles."""

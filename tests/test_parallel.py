@@ -80,4 +80,4 @@ def test_split_threshold_counts_lanes():
         chunks = []
         parallel.run_chunked(lambda lo, hi: chunks.append((lo, hi)), 10_000, threads=2,
                              rows=rows)
-        assert sorted(chunks) == want
+        assert sorted(chunks) == want == parallel.chunk_split(10_000, 2, rows)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from meanreflect.model import (
     make_case_iii,
     validate,
 )
-from meanreflect.parallel import MIN_CHUNK_ITEMS
+from meanreflect.parallel import MIN_CHUNK_ITEMS, chunk_split
 from meanreflect.scheme import (
     NOISE_BLOCK_LANES,
     GridSpec,
@@ -252,23 +253,58 @@ class TestNoiseBlock:
                      observe=lambda k, X: seen.append(X.copy()))
             assert np.array_equal(np.array(clouds)[:, row], np.array(seen)), seed
 
-    def test_earlier_step_after_later_draws_a_new_block(self):
-        model, constraint = MANY_MARKS["lognormal-theta"], linear_constraint(0.95)
-        grid = GridSpec(0.5, 10)
-        # 2 threads split N = 20000 into two chunks of 10000 lanes; 1 thread
-        # runs one chunk of 20000
-        system = ParticleSystem(model, constraint, grid, 20_000, seed=3)
+    @staticmethod
+    def _jumbled_calls(system: ParticleSystem):
+        """Set up and yield ``(step, threads)`` calls that reuse, pass, go back
+        before and re-split blocks. 2 threads split N = 20000 into two chunks
+        of 10000 lanes, several steps a block; 1 thread runs one chunk of 20000,
+        one step a block."""
+        grid = system.grid
         block = _block_steps(10_000, grid.steps)
-        assert 2 < block < grid.steps - 2 and _block_steps(20_000, grid.steps) < block
+        assert 2 < block < grid.steps - 2 and _block_steps(20_000, grid.steps) == 1
         # a block and its next step, past its end, back before that start and
-        # the next step of the new block, the first and last steps, then
-        # another chunk split of the same particles and back again
-        order = [(2, 2), (3, 2), (block + 2, 2), (block, 2), (block + 1, 2), (1, 2),
-                 (grid.steps, 2), (block + 2, 1), (2, 1), (block + 3, 2)]
+        # the next step of the new block, another chunk split inside that
+        # block, the first and last steps, then the other split and back again
+        order = [(2, 2), (3, 2), (block + 2, 2), (block, 2), (block + 1, 2), (block + 2, 1),
+                 (1, 2), (grid.steps, 2), (2, 1), (3, 2), (block + 3, 2)]
         for step, threads in order:
             system.threads = threads
+            yield step, threads
+
+    def system(self) -> ParticleSystem:
+        model, constraint = MANY_MARKS["lognormal-theta"], linear_constraint(0.95)
+        return ParticleSystem(model, constraint, GridSpec(0.5, 10), 20_000, seed=3)
+
+    def test_earlier_step_after_later_draws_a_new_block(self):
+        system = self.system()
+        for step, _ in self._jumbled_calls(system):
             got = system._increments(system.X, step)
             assert np.array_equal(got, _increments_reference(system, step)), step
+
+    def test_a_block_is_kept_only_while_a_later_step_of_it_remains(self, monkeypatch):
+        # every block still alive when the next is drawn must be read by this
+        # call: it covers the step and belongs to the chunk split being run
+        system, drawn = self.system(), []
+        noise_block = ParticleSystem._noise_block
+
+        def spy(system, lo, hi, first):
+            split = chunk_split(system.n_particles, system.threads, len(system.trackers))
+            for ref, chunk in drawn:
+                alive = ref()
+                assert alive is None or (chunk in split and alive.covers(first)), chunk
+            block = noise_block(system, lo, hi, first)
+            drawn.append((weakref.ref(block), (lo, hi)))
+            return block
+
+        monkeypatch.setattr(ParticleSystem, "_noise_block", spy)
+        for step, threads in self._jumbled_calls(system):
+            system._increments(system.X, step)
+            kept = system._blocks
+            assert all(block.covers(step + 1) for block in kept.values()), step
+            if threads == 1:  # one-step blocks are never kept
+                assert not kept, step
+            del kept  # the test must not keep a block alive itself
+        assert len(drawn) > 10
 
     @pytest.mark.parametrize("seed, n_particles, threads", [
         (5, 100, 1), (5, 9000, 1), ([1, 2, 3], 3000, 1), ([1, 2, 3], 6000, 2),

@@ -437,33 +437,6 @@ class TestNoiseRecord:
             assert np.array_equal(cells[mine] - 40 * row, want_cells)
             assert np.array_equal(marks[mine], want_marks)
 
-    @pytest.mark.parametrize("rows", [0, 2], ids=["int-seed", "row-seeds"])
-    def test_jumps_draw_marks_in_pieces(self, monkeypatch, rows):
-        # about 24,000 marks: one draw of them all, bit for bit, in pieces
-        rec = NoiseRecord(seed=9, n_steps=3, n_particles=4000, jump_mean=3.0,
-                          jump_law=LogNormal(0.0, 0.5))
-        if rows:
-            rec = dataclasses.replace(rec, seed=np.array([[9], [2**64 - 1]], np.uint64))
-        particles, steps = np.arange(4000), np.array([[[2]], [[3]]])
-        pieces = []
-        marks_once = NoiseRecord.marks
-
-        def spy(record, p, k, sub):
-            pieces.append(np.size(sub))
-            return marks_once(record, p, k, sub)
-
-        monkeypatch.setattr(NoiseRecord, "marks", spy)
-        cells, marks = rec.jumps(particles, steps)
-        shape = (2, max(rows, 1), 4000)
-        assert cells.size > 2 * sto.MARK_PIECE_LANES
-        assert pieces == [min(sto.MARK_PIECE_LANES, cells.size - lo)
-                          for lo in range(0, cells.size, sto.MARK_PIECE_LANES)]
-        counts = np.bincount(cells, minlength=math.prod(shape))
-        sub = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
-        k, row, p = np.unravel_index(cells, shape)
-        whole = dataclasses.replace(rec, seed=rec.seed[row, 0]) if rows else rec
-        assert np.array_equal(marks, marks_once(whole, p, k + 2, sub))
-
     def test_jumps_without_a_jump_draw_no_mark(self, monkeypatch):
         rec = dataclasses.replace(self.record(), jump_mean=0.0)
         channels = []
