@@ -122,8 +122,8 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.intensity <= 0.0:
-            raise ValueError(f"intensity must be > 0, got {self.intensity}")
+        if not 0.0 < self.intensity < math.inf:
+            raise ValueError(f"intensity must be finite and > 0, got {self.intensity}")
 
     def compensate(self, x):
         """The jump compensator at x, from the spec's current fields."""
@@ -311,11 +311,11 @@ def validate(spec: ModelSpec, constraint: Constraint) -> ValidationReport:
     Hard violations: broken (m, M) ordering, non-monotone or
     non-bi-Lipschitz h on sampled pairs, negative initial constraint mean
     E[h(X0)] (by the initial law's quadrature rule, exact for a point
-    mass); ``ModelSpec`` itself rejects a non-positive intensity. Advisory
-    warnings: finite-difference slopes of the drift, the diffusion and the
-    jump amplitude at the mean mark above 1e6 on 201 evenly spaced points
-    of [-50, 50] (global Lipschitz continuity cannot be certified
-    numerically, so this never rejects).
+    mass); ``ModelSpec`` itself rejects a non-finite or non-positive
+    intensity. Advisory warnings: finite-difference slopes of the drift,
+    the diffusion and the jump amplitude at the mean mark above 1e6 on 201
+    evenly spaced points of [-50, 50] (global Lipschitz continuity cannot be
+    certified numerically, so this never rejects).
     """
     report = ValidationReport()
 

@@ -24,9 +24,8 @@ as fit in ``NOISE_BLOCK_LANES`` lanes (at least one), and each step takes
 its own slice of that block. Only the marks are drawn ahead; their jump
 amplitudes are computed at step time from the current state. A block is
 kept, keyed by its chunk's particle range, only while a later step of it
-remains, so a one-step block is never kept; a chunk split that changes
-between calls drops the old split's blocks before drawing new ones, and
-every draw is the one its key gives.
+remains, so a one-step block is never kept. A run fixes its chunks once,
+when it starts, so every step runs the split its blocks were drawn for.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -154,11 +153,12 @@ class ParticleSystem:
     ):
         if n_particles < 1:
             raise ValueError(f"n_particles must be >= 1, got {n_particles}")
+        if threads is not None and not (isinstance(threads, int) and threads >= 1):
+            raise ValueError(f"threads must be None or an int >= 1, got {threads!r}")
         self.model = model
         self.constraint = constraint
         self.grid = grid
         self.n_particles = n_particles
-        self.threads = threads
         if isinstance(seed, (int, np.integer)):
             self.seed = key = int(seed)
             shape = (n_particles,)
@@ -175,7 +175,9 @@ class ParticleSystem:
             u = self.noise.initial_uniforms(np.arange(n_particles))
             self.U = np.array(model.initial_law.from_uniform(u))
         self.trackers = [ReflectionTracker() for _ in range(math.prod(shape[:-1]))]
-        self._blocks: dict[tuple[int, int], _NoiseBlock] = {}  # by chunk (lo, hi)
+        # every step's (lo, hi) particle chunks; MEANREFLECT_THREADS is read here
+        self.chunks = chunk_split(n_particles, threads, len(self.trackers))
+        self._blocks: dict[tuple[int, int], _NoiseBlock] = {}  # by chunk
         self.k = 0
         self._reflect()
 
@@ -213,18 +215,14 @@ class ParticleSystem:
         dt = self.grid.dt
         sqrt_dt = math.sqrt(dt)
         out = np.empty_like(x_prev)
-        rows = len(self.trackers)
-        # Keep only the blocks this call reads: a spent block, or one of a
-        # chunk split no longer run, is dropped before any block is drawn.
-        held, self._blocks = self._blocks, {}
-        ahead = {chunk: held[chunk]
-                 for chunk in chunk_split(self.n_particles, self.threads, rows)
-                 if chunk in held and held[chunk].covers(step)}
-        del held
+        # A block that does not cover this step (only a call out of step
+        # order holds one) is dropped before any block is drawn.
+        self._blocks = {chunk: block for chunk, block in self._blocks.items()
+                        if block.covers(step)}
 
         def work(lo: int, hi: int) -> None:
             x = x_prev[..., lo:hi]  # every row of the batch, particles lo..hi-1
-            block = ahead.pop((lo, hi), None)
+            block = self._blocks.pop((lo, hi), None)
             if block is None:
                 block = self._noise_block(lo, hi, step)
             if block.covers(step + 1):  # a block is kept only for a later step
@@ -236,7 +234,7 @@ class ParticleSystem:
             drift_part = model.drift(x) - model.compensate(x)
             out[..., lo:hi] = dt * drift_part + sqrt_dt * (model.diffusion(x) * g) + jump
 
-        run_chunked(work, self.n_particles, self.threads, rows=rows)
+        run_chunked(work, self.chunks)
         return out
 
     def step(self):

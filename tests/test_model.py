@@ -46,6 +46,14 @@ def test_refuses_each_nonpositive_parameter(case, name, bad):
         FACTORIES[case](*(values[n] for n in CASES[case].params))
 
 
+@pytest.mark.parametrize("intensity", [math.nan, math.inf, 0.0, -1.0])
+def test_model_spec_refuses_bad_intensity(intensity):
+    with pytest.raises(ValueError, match="intensity must be finite and > 0"):
+        ModelSpec(drift=lambda x: 0.0, diffusion=lambda x: 1.0,
+                  jump_amplitude=lambda x, z: z, intensity=intensity,
+                  jump_size_law=DiracPoint(1.0), initial_law=DiracPoint(1.0))
+
+
 class TestCaseI:
     def test_fig1_parameters_valid(self):
         spec, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)

@@ -1,10 +1,13 @@
 """The one parallel path: chunked particle work on a reused pool."""
 
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meanreflect import parallel
 from meanreflect.model import make_case_i
@@ -78,6 +81,32 @@ def test_split_threshold_counts_lanes():
     assert 10_000 < parallel.MIN_CHUNK_ITEMS <= 2 * 10_000
     for rows, want in ((1, [(0, 10_000)]), (2, [(0, 5000), (5000, 10_000)])):
         chunks = []
-        parallel.run_chunked(lambda lo, hi: chunks.append((lo, hi)), 10_000, threads=2,
-                             rows=rows)
-        assert sorted(chunks) == want == parallel.chunk_split(10_000, 2, rows)
+        parallel.run_chunked(lambda lo, hi: chunks.append((lo, hi)),
+                             parallel.chunk_split(10_000, 2, rows))
+        assert sorted(chunks) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_items=st.integers(1, 3 * parallel.MIN_CHUNK_ITEMS), threads=st.integers(1, 64),
+       rows=st.integers(1, parallel.MIN_CHUNK_ITEMS))
+@example(n_items=3, threads=8, rows=parallel.MIN_CHUNK_ITEMS)  # more threads than items
+def test_chunk_split_covers_the_items_in_order(n_items, threads, rows):
+    # a large batch (rows) splits a few items, so threads > n_items is drawn too
+    chunks = parallel.chunk_split(n_items, threads, rows)
+    assert chunks[0][0] == 0 and chunks[-1][1] == n_items
+    assert all(lo < hi for lo, hi in chunks)
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))  # disjoint, no gap
+    assert len(chunks) <= threads
+    if threads <= 1 or rows * n_items < parallel.MIN_CHUNK_ITEMS:
+        assert len(chunks) == 1
+
+
+def test_default_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("MEANREFLECT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert parallel.worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert parallel.worker_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert parallel.worker_count() == 1

@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from meanreflect.errors import NonFiniteState
+from meanreflect import scheme
+from meanreflect.errors import NonFiniteState, ValidationError
 from meanreflect.model import (
     ModelSpec,
     affine_model,
@@ -17,7 +18,7 @@ from meanreflect.model import (
     make_case_iii,
     validate,
 )
-from meanreflect.parallel import MIN_CHUNK_ITEMS, chunk_split
+from meanreflect.parallel import MIN_CHUNK_ITEMS
 from meanreflect.scheme import (
     NOISE_BLOCK_LANES,
     GridSpec,
@@ -97,8 +98,9 @@ class TestGridSpec:
         assert np.array_equal(grid.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            GridSpec(0.0, 10)
+        for horizon in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon"):
+                GridSpec(horizon, 10)
         with pytest.raises(ValueError):
             GridSpec(1.0, 0)
 
@@ -254,56 +256,55 @@ class TestNoiseBlock:
             assert np.array_equal(np.array(clouds)[:, row], np.array(seen)), seed
 
     @staticmethod
-    def _jumbled_calls(system: ParticleSystem):
-        """Set up and yield ``(step, threads)`` calls that reuse, pass, go back
-        before and re-split blocks. 2 threads split N = 20000 into two chunks
-        of 10000 lanes, several steps a block; 1 thread runs one chunk of 20000,
-        one step a block."""
+    def _jumbled_calls(system: ParticleSystem) -> list[int]:
+        """Steps whose calls reuse, pass and go back before blocks. 2 threads
+        split N = 20000 into two chunks of 10000 lanes, several steps a block;
+        1 thread runs one chunk of 20000, one step a block."""
         grid = system.grid
         block = _block_steps(10_000, grid.steps)
         assert 2 < block < grid.steps - 2 and _block_steps(20_000, grid.steps) == 1
         # a block and its next step, past its end, back before that start and
-        # the next step of the new block, another chunk split inside that
-        # block, the first and last steps, then the other split and back again
-        order = [(2, 2), (3, 2), (block + 2, 2), (block, 2), (block + 1, 2), (block + 2, 1),
-                 (1, 2), (grid.steps, 2), (2, 1), (3, 2), (block + 3, 2)]
-        for step, threads in order:
-            system.threads = threads
-            yield step, threads
+        # the next step of the new block, the first and last steps, then back
+        return [2, 3, block + 2, block, block + 1, 1, grid.steps, 2, 3, block + 3]
 
-    def system(self) -> ParticleSystem:
+    @staticmethod
+    def system(threads: int) -> ParticleSystem:
         model, constraint = MANY_MARKS["lognormal-theta"], linear_constraint(0.95)
-        return ParticleSystem(model, constraint, GridSpec(0.5, 10), 20_000, seed=3)
+        return ParticleSystem(model, constraint, GridSpec(0.5, 10), 20_000, seed=3,
+                              threads=threads)
 
     def test_earlier_step_after_later_draws_a_new_block(self):
-        system = self.system()
-        for step, _ in self._jumbled_calls(system):
+        system = self.system(2)
+        assert len(system.chunks) == 2
+        for step in self._jumbled_calls(system):
             got = system._increments(system.X, step)
             assert np.array_equal(got, _increments_reference(system, step)), step
 
     def test_a_block_is_kept_only_while_a_later_step_of_it_remains(self, monkeypatch):
         # every block still alive when the next is drawn must be read by this
-        # call: it covers the step and belongs to the chunk split being run
-        system, drawn = self.system(), []
+        # call: it covers the step
+        drawn = []
         noise_block = ParticleSystem._noise_block
 
         def spy(system, lo, hi, first):
-            split = chunk_split(system.n_particles, system.threads, len(system.trackers))
             for ref, chunk in drawn:
                 alive = ref()
-                assert alive is None or (chunk in split and alive.covers(first)), chunk
+                assert alive is None or alive.covers(first), chunk
             block = noise_block(system, lo, hi, first)
             drawn.append((weakref.ref(block), (lo, hi)))
             return block
 
         monkeypatch.setattr(ParticleSystem, "_noise_block", spy)
-        for step, threads in self._jumbled_calls(system):
-            system._increments(system.X, step)
-            kept = system._blocks
-            assert all(block.covers(step + 1) for block in kept.values()), step
-            if threads == 1:  # one-step blocks are never kept
-                assert not kept, step
-            del kept  # the test must not keep a block alive itself
+        for threads in (2, 1):
+            system = self.system(threads)
+            for step in self._jumbled_calls(system):
+                system._increments(system.X, step)
+                kept = system._blocks
+                assert all(block.covers(step + 1) for block in kept.values()), step
+                if threads == 1:  # one-step blocks are never kept
+                    assert not kept, step
+                del kept  # the test must not keep a block alive itself
+            del system
         assert len(drawn) > 10
 
     @pytest.mark.parametrize("seed, n_particles, threads", [
@@ -330,6 +331,45 @@ class TestNoiseBlock:
         assert max(sizes) <= NOISE_BLOCK_LANES
         assert len(sizes) == chunks * -(-grid.steps // block)  # blocks, not steps
         assert sum(sizes) == rows * n_particles * grid.steps  # every draw once
+
+
+class TestChunkPlan:
+    """A run fixes its chunks once, when its system is built."""
+
+    @staticmethod
+    def system(**kwargs) -> ParticleSystem:
+        model, constraint = make_case_i(beta=2, sigma=1, eta=1, lam=5, x0=1, p=0.5)
+        return ParticleSystem(model, constraint, GridSpec(1.0, 4), 20_000, seed=8,
+                              **kwargs)
+
+    def test_thread_variable_is_read_when_the_run_starts(self, monkeypatch):
+        monkeypatch.setenv("MEANREFLECT_THREADS", "2")
+        system = self.system()
+        assert system.chunks == [(0, 10_000), (10_000, 20_000)]
+        received = []
+        run_chunked = scheme.run_chunked
+
+        def spy(work, chunks):
+            received.append(list(chunks))
+            run_chunked(work, chunks)
+
+        monkeypatch.setattr(scheme, "run_chunked", spy)
+        for raw in ("2", "1", "0"):  # not read again, so not even an invalid value
+            monkeypatch.setenv("MEANREFLECT_THREADS", raw)
+            system.step()
+        assert received == [system.chunks] * 3
+        assert system.chunks == [(0, 10_000), (10_000, 20_000)]
+
+    @pytest.mark.parametrize("raw", ["0", "two"])
+    def test_bad_thread_variable_fails_before_any_step(self, monkeypatch, raw):
+        monkeypatch.setenv("MEANREFLECT_THREADS", raw)
+        with pytest.raises(ValidationError, match="MEANREFLECT_THREADS"):
+            self.system()
+
+    @pytest.mark.parametrize("threads", [0, -2, 1.5, "2"])
+    def test_bad_threads_refused(self, threads):
+        with pytest.raises(ValueError, match="threads must be"):
+            self.system(threads=threads)
 
 
 class TestSimulate:
